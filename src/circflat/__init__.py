@@ -10,7 +10,7 @@ or randomized identity testing.
 """
 
 from .analysis import VarTable, check_multi_k_ic, compute_var, inferred_k
-from .backends import active_backend, set_backend
+from .backends import active_backend
 from .balance import BalanceReport, balance, check_balanced
 from .circuit import (
     Circuit,

@@ -1,25 +1,20 @@
-"""Accelerated kernels for field arithmetic, circuit evaluation and packed
-sparse-polynomial algebra.
+"""Kernels for field arithmetic, circuit evaluation and packed
+sparse-polynomial algebra, written with numpy on uint64 words.
 
-Two implementations of every kernel live here:
-
-* a numba ``@njit`` version (the default), and
-* a pure-numpy fallback, selected with ``CIRCFLAT_BACKEND=numpy``.
-
-Both operate on uint64 words.  Fast arithmetic is available for two families
-of primes: the Mersenne prime 2^61 - 1 (products are reduced with shift/mask
-folding, no 128-bit intermediate needed) and any prime below 2^31 (products
-fit a 64-bit word directly).  For other primes the callers fall back to plain
-Python integers; see :func:`fast_prime_kind`.
+Fast arithmetic is available for two families of primes: the Mersenne prime
+2^61 - 1 (products are reduced with shift/mask folding, no 128-bit
+intermediate needed) and any prime below 2^31 (products fit a 64-bit word
+directly).  For other primes the callers use plain Python integers; see
+:func:`fast_prime_kind`.
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
 constant value) and a flattened child list with offsets.
 """
 
-import os
-
 import numpy as np
+
+from .errors import ExpansionTooLarge
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -30,43 +25,15 @@ KIND_CONST = 1
 KIND_ADD = 2
 KIND_MUL = 3
 
-# Above this many packed terms the float64 bucket-sum trick in the numpy
-# merge could lose bits, so both backends refuse (the expansion budget is
-# far below this anyway).
+# Above this many packed terms the float64 bucket-sum trick in the merge
+# could lose bits, so the packed kernels raise ExpansionTooLarge (the
+# default expansion budget is below this).
 MAX_MERGE_TERMS = 1 << 21
-
-_env = os.environ.get("CIRCFLAT_BACKEND", "").strip().lower()
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-if _env in ("numba", "numpy"):
-    _BACKEND = _env
-elif _HAVE_NUMBA:
-    _BACKEND = "numba"
-else:  # pragma: no cover
-    _BACKEND = "numpy"
-
-if _BACKEND == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-    raise ImportError("CIRCFLAT_BACKEND=numba but numba is not importable")
 
 
 def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch kernels at runtime (used by tests and the backend benchmark)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:  # pragma: no cover
-        raise ValueError("numba backend requested but numba is unavailable")
-    _BACKEND = name
+    """Name of the kernel implementation, as the benchmark records it."""
+    return "numpy"
 
 
 def fast_prime_kind(p: int):
@@ -79,12 +46,7 @@ def fast_prime_kind(p: int):
     return None
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _np_mulmod(a, b, p):
+def mulmod_vec(a, b, p):
     """Vectorized (a * b) mod p on uint64 arrays; p must be fast-capable."""
     if p == MERSENNE61:
         a0 = a & _MASK32
@@ -106,12 +68,18 @@ def _np_mulmod(a, b, p):
     return (a * b) % p
 
 
-def _np_addmod(a, b, p):
+def addmod_vec(a, b, p):
+    """Vectorized (a + b) mod p on uint64 arrays of reduced values."""
     s = a + b
     return np.where(s >= p, s - p, s)
 
 
-def _np_eval_program(kinds, payload, child_off, children, points, p):
+def eval_program(kinds, payload, child_off, children, points, p):
+    """Evaluate every gate of an encoded circuit at a batch of points.
+
+    Returns a (ngates, npoints) uint64 table of values mod p.
+    """
+    p = np.uint64(p)
     ngates = kinds.shape[0]
     npts = points.shape[0]
     vals = np.zeros((ngates, npts), dtype=np.uint64)
@@ -127,15 +95,22 @@ def _np_eval_program(kinds, payload, child_off, children, points, p):
             acc = vals[children[lo]].copy()
             if k == KIND_ADD:
                 for idx in range(lo + 1, hi):
-                    acc = _np_addmod(acc, vals[children[idx]], p)
+                    acc = addmod_vec(acc, vals[children[idx]], p)
             else:
                 for idx in range(lo + 1, hi):
-                    acc = _np_mulmod(acc, vals[children[idx]], p)
+                    acc = mulmod_vec(acc, vals[children[idx]], p)
             vals[g] = acc
     return vals
 
 
-def _np_eval_quotient_program(kinds, child_off, children, target, vals, p):
+def eval_quotient_program(kinds, child_off, children, target, vals, p):
+    """Gate-quotient values [g : target] for every gate g, given the plain
+    value table ``vals`` from :func:`eval_program`.
+
+    Also returns the per-gate reachability mask of the quotient recursion
+    (snipping descends into the last child of every product gate).
+    """
+    p = np.uint64(p)
     ngates, npts = vals.shape
     qvals = np.zeros((ngates, npts), dtype=np.uint64)
     reach = np.zeros(ngates, dtype=np.bool_)
@@ -153,7 +128,7 @@ def _np_eval_quotient_program(kinds, child_off, children, target, vals, p):
                 c = children[idx]
                 if reach[c]:
                     reach[g] = True
-                    acc = qvals[c] if acc is None else _np_addmod(acc, qvals[c], p)
+                    acc = qvals[c] if acc is None else addmod_vec(acc, qvals[c], p)
             if acc is not None:
                 qvals[g] = acc
         elif k == KIND_MUL:
@@ -164,16 +139,21 @@ def _np_eval_quotient_program(kinds, child_off, children, target, vals, p):
                 reach[g] = True
                 acc = qvals[last].copy()
                 for idx in range(lo, hi - 1):
-                    acc = _np_mulmod(acc, vals[children[idx]], p)
+                    acc = mulmod_vec(acc, vals[children[idx]], p)
                 qvals[g] = acc
     return qvals, reach
 
 
-def _np_merge_packed(keys, coeffs, p):
+def merge_packed(keys, coeffs, p):
+    """Canonicalize packed terms: sort by key, sum duplicate keys mod p and
+    drop zero coefficients."""
+    if keys.shape[0] > MAX_MERGE_TERMS:
+        raise ExpansionTooLarge(
+            f"packed merge of {keys.shape[0]} terms exceeds {MAX_MERGE_TERMS}"
+        )
     if keys.shape[0] == 0:
         return keys, coeffs
-    if keys.shape[0] > MAX_MERGE_TERMS:
-        raise OverflowError("packed merge exceeds safe accumulation size")
+    p = np.uint64(p)
     uniq, inverse = np.unique(keys, return_inverse=True)
     lo = (coeffs & _MASK32).astype(np.float64)
     hi = (coeffs >> np.uint64(32)).astype(np.float64)
@@ -182,20 +162,29 @@ def _np_merge_packed(keys, coeffs, p):
     slo = slo.astype(np.uint64) % p
     shi = shi.astype(np.uint64) % p
     shift = np.uint64((1 << 32) % int(p))
-    vals = _np_addmod(_np_mulmod(shi, np.full_like(shi, shift), p), slo, p)
+    vals = addmod_vec(mulmod_vec(shi, np.full_like(shi, shift), p), slo, p)
     keep = vals != 0
     return uniq[keep], vals[keep]
 
 
-def _np_mul_packed(ka, ca, kb, cb, p):
+def mul_packed(ka, ca, kb, cb, p):
+    """Product of two packed polynomials (exponent keys add, coefficients
+    multiply mod p), canonicalized."""
+    if ka.shape[0] * kb.shape[0] > MAX_MERGE_TERMS:
+        raise ExpansionTooLarge(
+            f"packed product of {ka.shape[0]} x {kb.shape[0]} terms exceeds {MAX_MERGE_TERMS}"
+        )
     if ka.shape[0] == 0 or kb.shape[0] == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
+    p = np.uint64(p)
     keys = (ka[:, None] + kb[None, :]).ravel()
-    coeffs = _np_mulmod(np.repeat(ca, cb.shape[0]), np.tile(cb, ca.shape[0]), p)
-    return _np_merge_packed(keys, coeffs, p)
+    coeffs = mulmod_vec(np.repeat(ca, cb.shape[0]), np.tile(cb, ca.shape[0]), p)
+    return merge_packed(keys, coeffs, p)
 
 
-def _np_eval_terms(exps, coeffs, points, p):
+def eval_terms(exps, coeffs, points, p):
+    """Evaluate an exponent-matrix polynomial at a batch of points."""
+    p = np.uint64(p)
     npts = points.shape[0]
     acc = np.zeros(npts, dtype=np.uint64)
     for t in range(exps.shape[0]):
@@ -203,248 +192,18 @@ def _np_eval_terms(exps, coeffs, points, p):
         for i in range(exps.shape[1]):
             e = int(exps[t, i])
             for _ in range(e):
-                term = _np_mulmod(term, points[:, i], p)
-        acc = _np_addmod(acc, term, p)
+                term = mulmod_vec(term, points[:, i], p)
+        acc = addmod_vec(acc, term, p)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _nb_mulmod(a, b, p):
-        if p == MERSENNE61:
-            a0 = a & _MASK32
-            a1 = a >> np.uint64(32)
-            b0 = b & _MASK32
-            b1 = b >> np.uint64(32)
-            hi = a1 * b1
-            mid = a1 * b0 + a0 * b1
-            lo = a0 * b0
-            t = (
-                (hi << np.uint64(3))
-                + (mid >> np.uint64(29))
-                + ((mid & _MASK29) << np.uint64(32))
-                + (lo >> np.uint64(61))
-                + (lo & MERSENNE61)
-            )
-            t = (t >> np.uint64(61)) + (t & MERSENNE61)
-            if t >= MERSENNE61:
-                t -= MERSENNE61
-            return t
-        return (a * b) % p
-
-    @njit(cache=True, inline="always")
-    def _nb_addmod(a, b, p):
-        s = a + b
-        if s >= p:
-            s -= p
-        return s
-
-    @njit(cache=True)
-    def _nb_eval_program(kinds, payload, child_off, children, points, p):
-        ngates = kinds.shape[0]
-        npts = points.shape[0]
-        vals = np.zeros((ngates, npts), dtype=np.uint64)
-        for g in range(ngates):
-            k = kinds[g]
-            if k == KIND_INPUT:
-                col = np.int64(payload[g])
-                for j in range(npts):
-                    vals[g, j] = points[j, col]
-            elif k == KIND_CONST:
-                for j in range(npts):
-                    vals[g, j] = payload[g]
-            elif k == KIND_ADD:
-                lo = child_off[g]
-                hi = child_off[g + 1]
-                for j in range(npts):
-                    acc = vals[children[lo], j]
-                    for idx in range(lo + 1, hi):
-                        acc = _nb_addmod(acc, vals[children[idx], j], p)
-                    vals[g, j] = acc
-            else:
-                lo = child_off[g]
-                hi = child_off[g + 1]
-                for j in range(npts):
-                    acc = vals[children[lo], j]
-                    for idx in range(lo + 1, hi):
-                        acc = _nb_mulmod(acc, vals[children[idx], j], p)
-                    vals[g, j] = acc
-        return vals
-
-    @njit(cache=True)
-    def _nb_eval_quotient_program(kinds, child_off, children, target, vals, p):
-        ngates = vals.shape[0]
-        npts = vals.shape[1]
-        qvals = np.zeros((ngates, npts), dtype=np.uint64)
-        reach = np.zeros(ngates, dtype=np.bool_)
-        for g in range(ngates):
-            if g == target:
-                reach[g] = True
-                for j in range(npts):
-                    qvals[g, j] = np.uint64(1)
-                continue
-            k = kinds[g]
-            if k == KIND_ADD:
-                lo = child_off[g]
-                hi = child_off[g + 1]
-                for idx in range(lo, hi):
-                    c = children[idx]
-                    if reach[c]:
-                        reach[g] = True
-                        for j in range(npts):
-                            qvals[g, j] = _nb_addmod(qvals[g, j], qvals[c, j], p)
-            elif k == KIND_MUL:
-                lo = child_off[g]
-                hi = child_off[g + 1]
-                last = children[hi - 1]
-                if reach[last]:
-                    reach[g] = True
-                    for j in range(npts):
-                        acc = qvals[last, j]
-                        for idx in range(lo, hi - 1):
-                            acc = _nb_mulmod(acc, vals[children[idx], j], p)
-                        qvals[g, j] = acc
-        return qvals, reach
-
-    @njit(cache=True)
-    def _nb_merge_packed(keys, coeffs, p):
-        m = keys.shape[0]
-        if m == 0:
-            return keys, coeffs
-        order = np.argsort(keys)
-        out_k = np.empty(m, dtype=np.uint64)
-        out_c = np.empty(m, dtype=np.uint64)
-        cnt = 0
-        cur_key = keys[order[0]]
-        cur_val = coeffs[order[0]]
-        for i in range(1, m):
-            idx = order[i]
-            k = keys[idx]
-            if k == cur_key:
-                cur_val = _nb_addmod(cur_val, coeffs[idx], p)
-            else:
-                if cur_val != np.uint64(0):
-                    out_k[cnt] = cur_key
-                    out_c[cnt] = cur_val
-                    cnt += 1
-                cur_key = k
-                cur_val = coeffs[idx]
-        if cur_val != np.uint64(0):
-            out_k[cnt] = cur_key
-            out_c[cnt] = cur_val
-            cnt += 1
-        return out_k[:cnt].copy(), out_c[:cnt].copy()
-
-    @njit(cache=True)
-    def _nb_mul_packed(ka, ca, kb, cb, p):
-        na = ka.shape[0]
-        nb = kb.shape[0]
-        keys = np.empty(na * nb, dtype=np.uint64)
-        coeffs = np.empty(na * nb, dtype=np.uint64)
-        pos = 0
-        for i in range(na):
-            for j in range(nb):
-                keys[pos] = ka[i] + kb[j]
-                coeffs[pos] = _nb_mulmod(ca[i], cb[j], p)
-                pos += 1
-        return _nb_merge_packed(keys, coeffs, p)
-
-    @njit(cache=True)
-    def _nb_eval_terms(exps, coeffs, points, p):
-        npts = points.shape[0]
-        nterms = exps.shape[0]
-        nvars = exps.shape[1]
-        acc = np.zeros(npts, dtype=np.uint64)
-        for j in range(npts):
-            total = np.uint64(0)
-            for t in range(nterms):
-                term = coeffs[t]
-                for i in range(nvars):
-                    e = exps[t, i]
-                    for _ in range(e):
-                        term = _nb_mulmod(term, points[j, i], p)
-                total = _nb_addmod(total, term, p)
-            acc[j] = total
-        return acc
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def eval_program(kinds, payload, child_off, children, points, p):
-    """Evaluate every gate of an encoded circuit at a batch of points.
-
-    Returns a (ngates, npoints) uint64 table of values mod p.
-    """
-    p = np.uint64(p)
-    if _BACKEND == "numba":
-        return _nb_eval_program(kinds, payload, child_off, children, points, p)
-    return _np_eval_program(kinds, payload, child_off, children, points, p)
-
-
-def eval_quotient_program(kinds, child_off, children, target, vals, p):
-    """Gate-quotient values [g : target] for every gate g, given the plain
-    value table ``vals`` from :func:`eval_program`.
-
-    Also returns the per-gate reachability mask of the quotient recursion
-    (snipping descends into the last child of every product gate).
-    """
-    p = np.uint64(p)
-    if _BACKEND == "numba":
-        return _nb_eval_quotient_program(
-            kinds, child_off, children, np.int64(target), vals, p
-        )
-    return _np_eval_quotient_program(kinds, child_off, children, target, vals, p)
-
-
-def merge_packed(keys, coeffs, p):
-    """Canonicalize packed terms: sort by key, sum duplicate keys mod p and
-    drop zero coefficients."""
-    if keys.shape[0] > MAX_MERGE_TERMS:
-        raise OverflowError("packed merge exceeds safe accumulation size")
-    p = np.uint64(p)
-    if _BACKEND == "numba":
-        return _nb_merge_packed(keys, coeffs, p)
-    return _np_merge_packed(keys, coeffs, p)
-
-
-def mul_packed(ka, ca, kb, cb, p):
-    """Product of two packed polynomials (exponent keys add, coefficients
-    multiply mod p), canonicalized."""
-    if ka.shape[0] * kb.shape[0] > MAX_MERGE_TERMS:
-        raise OverflowError("packed product exceeds safe accumulation size")
-    p = np.uint64(p)
-    if _BACKEND == "numba":
-        return _nb_mul_packed(ka, ca, kb, cb, p)
-    return _np_mul_packed(ka, ca, kb, cb, p)
-
-
-def eval_terms(exps, coeffs, points, p):
-    """Evaluate an exponent-matrix polynomial at a batch of points."""
-    p = np.uint64(p)
-    if _BACKEND == "numba":
-        return _nb_eval_terms(exps, coeffs, points, p)
-    return _np_eval_terms(exps, coeffs, points, p)
-
-
-# Vectorized modular arithmetic on uint64 arrays (fast-capable primes only);
-# handy outside the compiled kernels for short rows of trial values.
-mulmod_vec = _np_mulmod
-addmod_vec = _np_addmod
 
 
 def random_points(seed: int, trial: int, n: int, p: int) -> np.ndarray:
     """One row of n field elements drawn from the counter-based Philox stream
-    keyed by seed + trial.  Identical (seed, trial) always yields the same
-    point, independent of evaluation order."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(trial)))
+    keyed by the two words (seed, trial).  Identical (seed, trial) always
+    yields the same point, independent of evaluation order, and distinct
+    pairs never share a stream."""
+    key = np.array([seed, trial], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     return rng.integers(0, p, size=n, dtype=np.uint64)
 
 

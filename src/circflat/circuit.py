@@ -22,7 +22,7 @@ load, preserving order.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -120,16 +120,21 @@ class Circuit:
             and self.gates == other.gates
         )
 
+    def cone(self, gate: int) -> List[bool]:
+        """Mask over all gates, True for ``gate`` and every gate it reads
+        directly or transitively."""
+        mask = [False] * self.num_gates
+        mask[gate] = True
+        for g in range(gate, -1, -1):
+            if mask[g]:
+                for c in self.gates[g].children:
+                    mask[c] = True
+        return mask
+
     def reachable_from_output(self) -> np.ndarray:
         """Boolean mask of gates in the cone of the output."""
         if self._reachable is None:
-            mask = np.zeros(self.num_gates, dtype=bool)
-            mask[self.output] = True
-            for g in range(self.output, -1, -1):
-                if mask[g]:
-                    for c in self.gates[g].children:
-                        mask[c] = True
-            self._reachable = mask
+            self._reachable = np.asarray(self.cone(self.output))
         return self._reachable
 
     # -- evaluation ----------------------------------------------------

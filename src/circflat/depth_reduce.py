@@ -590,12 +590,7 @@ def expand_sparse(circuit: Circuit, gate: int, budget: int = DEFAULT_BUDGET) -> 
 
 def extract_subcircuit(circuit: Circuit, gate: int) -> Circuit:
     """Cone of one gate, densely renumbered, with that gate as output."""
-    mask = [False] * (gate + 1)
-    mask[gate] = True
-    for g in range(gate, -1, -1):
-        if mask[g]:
-            for c in circuit.gates[g].children:
-                mask[c] = True
+    mask = circuit.cone(gate)
     remap = {}
     gates = []
     for g in range(gate + 1):

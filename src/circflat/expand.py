@@ -30,16 +30,6 @@ def expansion_bound(circuit: Circuit, gate: int) -> int:
     return bound
 
 
-def _cone(circuit: Circuit, gate: int):
-    mask = [False] * circuit.num_gates
-    mask[gate] = True
-    for g in range(gate, -1, -1):
-        if mask[g]:
-            for c in circuit.gates[g].children:
-                mask[c] = True
-    return mask
-
-
 def _packed_mul_chunked(ka, ca, kb, cb, p):
     """Product of two packed polynomials, chunking the outer product so
     intermediate buffers stay within the merge-safe size."""
@@ -117,7 +107,7 @@ class CircuitExpander:
         c = self.circuit
         p = c.field.p
         order = [g for g in range(gate + 1) if g not in memo]
-        cone = _cone(c, gate)
+        cone = c.cone(gate)
         for g in order:
             if not cone[g]:
                 continue
@@ -149,7 +139,7 @@ class CircuitExpander:
             return memo[gate]
         c = self.circuit
         n, f = c.n, c.field
-        cone = _cone(c, gate)
+        cone = c.cone(gate)
         for g in range(gate + 1):
             if not cone[g] or g in memo:
                 continue

@@ -360,6 +360,7 @@ def check_decomposition(
     points = backends.random_point_batch(seed, trials, circuit.n, p)
 
     if backends.fast_prime_kind(p) is not None:
+        pw = np.uint64(p)
         vals = circuit.eval_table(points)
         qcache = {}
 
@@ -379,9 +380,9 @@ def check_decomposition(
             if t.is_mul:
                 gate_w = circuit.gates[t.w]
                 if gate_w.fanin() == 2:
-                    factor = _mul_rows(factor, vals[gate_w.children[0]], p)
+                    factor = backends.mulmod_vec(factor, vals[gate_w.children[0]], pw)
             tail = vals[t.z] if v is None else qrow(v)[t.z]
-            rhs = _add_rows(rhs, _mul_rows(factor, tail, p), p)
+            rhs = backends.addmod_vec(rhs, backends.mulmod_vec(factor, tail, pw), pw)
         agree = lhs == rhs
         failed = [int(i) for i in np.nonzero(~agree)[0]]
     else:
@@ -418,11 +419,3 @@ def check_decomposition(
         term_count=len(terms),
         failed_trials=failed,
     )
-
-
-def _mul_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return backends._np_mulmod(a, b, np.uint64(p))
-
-
-def _add_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return backends._np_addmod(a, b, np.uint64(p))

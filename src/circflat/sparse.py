@@ -141,7 +141,8 @@ class SparsePolynomial:
         return total
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of points, via the active kernel backend."""
+        """Values at each row of points, via the numpy kernels where the modulus
+        allows."""
         if backends.fast_prime_kind(self.field.p) is None or self.num_terms() == 0:
             return np.asarray(
                 [self.evaluate([int(x) for x in row]) for row in points], dtype=object

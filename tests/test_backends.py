@@ -1,21 +1,14 @@
-"""Cross-checks of the numba kernels against the numpy fallback and a plain
-Python integer reference."""
+"""Cross-checks of the numpy kernels against a plain Python integer
+reference."""
 
 import numpy as np
 import pytest
 
 from circflat import backends
+from circflat.errors import ExpansionTooLarge
 from circflat.field import MERSENNE61
 
 PRIMES = [MERSENNE61, 10007, 2]
-
-
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request):
-    old = backends.active_backend()
-    backends.set_backend(request.param)
-    yield request.param
-    backends.set_backend(old)
 
 
 def _random(p, size, seed):
@@ -33,7 +26,7 @@ def test_mulmod_vec_matches_python(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_merge_packed(backend, p):
+def test_merge_packed(p):
     # adversarial duplicates: few distinct keys, many repeats
     rng = np.random.Generator(np.random.Philox(key=7))
     keys = rng.integers(0, 13, 4000, dtype=np.uint64)
@@ -48,7 +41,7 @@ def test_merge_packed(backend, p):
 
 
 @pytest.mark.parametrize("p", [MERSENNE61, 10007])
-def test_mul_packed(backend, p):
+def test_mul_packed(p):
     rng = np.random.Generator(np.random.Philox(key=9))
     ka = np.unique(rng.integers(0, 1 << 20, 60, dtype=np.uint64))
     kb = np.unique(rng.integers(0, 1 << 20, 50, dtype=np.uint64))
@@ -64,7 +57,7 @@ def test_mul_packed(backend, p):
     assert {int(k): int(c) for k, c in zip(uk, uc)} == ref
 
 
-def test_backends_agree_on_eval(backend, field):
+def test_eval_program_matches_python(field):
     from circflat.generators import random_multilinear
 
     c = random_multilinear(40, 6, seed=3, field=field)
@@ -78,7 +71,7 @@ def test_backends_agree_on_eval(backend, field):
         assert [int(v) for v in table[:, j]] == ref
 
 
-def test_quotient_program_matches_python(backend, field):
+def test_quotient_program_matches_python(field):
     from circflat.generators import random_multilinear
     from circflat.normalize import normalized
     from circflat.quotient import (
@@ -98,7 +91,7 @@ def test_quotient_program_matches_python(backend, field):
             assert [int(x) for x in q[:, j]] == ref_q
 
 
-def test_eval_terms(backend):
+def test_eval_terms():
     p = MERSENNE61
     exps = np.array([[0, 0], [1, 0], [2, 1]], dtype=np.uint8)
     coeffs = np.array([5, 3, 2], dtype=np.uint64)
@@ -114,9 +107,16 @@ def test_random_points_deterministic():
     c = backends.random_points(42, 4, 6, MERSENNE61)
     assert (a == b).all()
     assert (a != c).any()
+    # seed and trial are separate key words: (0, 1) and (1, 0) differ
+    d = backends.random_points(0, 1, 6, MERSENNE61)
+    e = backends.random_points(1, 0, 6, MERSENNE61)
+    assert (d != e).any()
 
 
 def test_merge_refuses_oversize():
     keys = np.zeros(backends.MAX_MERGE_TERMS + 1, dtype=np.uint64)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ExpansionTooLarge):
         backends.merge_packed(keys, keys.copy(), MERSENNE61)
+    half = np.zeros(1 << 11, dtype=np.uint64)
+    with pytest.raises(ExpansionTooLarge):
+        backends.mul_packed(half, half, half, half, MERSENNE61)

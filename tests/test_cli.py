@@ -160,3 +160,12 @@ def test_stats_dot(tmp_path, pos_file, capsys):
     assert run(["stats", pos_file, "--dot", dot]) == 0
     text = dot.read_text()
     assert text.startswith("digraph") and "->" in text
+
+
+def test_kernel_size_limit_exits_4(tmp_path, pos_file, monkeypatch, capsys):
+    from circflat import backends
+
+    monkeypatch.setattr(backends, "MAX_MERGE_TERMS", 2)
+    code = run(["--error-json", "reduce", pos_file, "-o", tmp_path / "o.ckt", "--delta", "2"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out.strip())["error"] == "ExpansionTooLarge"
