@@ -1,5 +1,6 @@
-"""Kernels for field arithmetic, circuit evaluation and packed
-sparse-polynomial algebra, written with numpy on uint64 words.
+"""Kernels for field arithmetic, circuit evaluation, sparse-polynomial
+evaluation and packed sparse-polynomial algebra, written with numpy on
+uint64 words.
 
 Fast arithmetic is available for two families of primes: the Mersenne prime
 2^61 - 1 (products are reduced with shift/mask folding, no 128-bit
@@ -9,7 +10,9 @@ directly).  For other primes the callers use plain Python integers; see
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
-constant value) and a flattened child list with offsets.
+constant value) and a flattened child list with offsets.  Sparse
+polynomials are evaluated from an exponent matrix by :func:`eval_terms`,
+vectorized over terms in chunks of bounded size.
 """
 
 import numpy as np
@@ -29,6 +32,12 @@ KIND_MUL = 3
 # could lose bits, so the packed kernels raise ExpansionTooLarge (the
 # default expansion budget is below this).
 MAX_MERGE_TERMS = 1 << 21
+
+# eval_terms works on (terms, points) blocks of at most this many words, so
+# its memory stays flat however many terms a polynomial has.  A Mersenne
+# mulmod keeps about ten block-sized temporaries alive, so a 2^12-word
+# (32 KB) block costs a few hundred KB; larger blocks ran no faster.
+TERM_BLOCK = 1 << 12
 
 
 def active_backend() -> str:
@@ -144,6 +153,24 @@ def eval_quotient_program(kinds, child_off, children, target, vals, p):
     return qvals, reach
 
 
+def _join_halves(shi, slo, p):
+    """(shi * 2^32 + slo) mod p from uint64 sums of the high and the low
+    32-bit halves of reduced values; exact while neither sum overflows."""
+    shift = np.uint64((1 << 32) % int(p))
+    return addmod_vec(mulmod_vec(shi % p, shift, p), slo % p, p)
+
+
+def _sum_rows(block, p):
+    """Column sums mod p of a (rows, points) block of reduced values.  When
+    the rows could overflow one uint64 sum, the high and the low 32-bit
+    halves are summed apart."""
+    if block.shape[0] <= ((1 << 64) - 1) // (int(p) - 1):
+        return block.sum(axis=0) % p
+    return _join_halves(
+        (block >> np.uint64(32)).sum(axis=0), (block & _MASK32).sum(axis=0), p
+    )
+
+
 def merge_packed(keys, coeffs, p):
     """Canonicalize packed terms: sort by key, sum duplicate keys mod p and
     drop zero coefficients."""
@@ -159,10 +186,7 @@ def merge_packed(keys, coeffs, p):
     hi = (coeffs >> np.uint64(32)).astype(np.float64)
     slo = np.bincount(inverse, weights=lo, minlength=uniq.shape[0])
     shi = np.bincount(inverse, weights=hi, minlength=uniq.shape[0])
-    slo = slo.astype(np.uint64) % p
-    shi = shi.astype(np.uint64) % p
-    shift = np.uint64((1 << 32) % int(p))
-    vals = addmod_vec(mulmod_vec(shi, np.full_like(shi, shift), p), slo, p)
+    vals = _join_halves(shi.astype(np.uint64), slo.astype(np.uint64), p)
     keep = vals != 0
     return uniq[keep], vals[keep]
 
@@ -183,17 +207,37 @@ def mul_packed(ka, ca, kb, cb, p):
 
 
 def eval_terms(exps, coeffs, points, p):
-    """Evaluate an exponent-matrix polynomial at a batch of points."""
+    """Evaluate an exponent-matrix polynomial at a batch of points.
+
+    Vectorized over terms: the powers of every variable that occurs are
+    built once, up to the largest exponent; then each chunk of terms, a
+    (terms, points) block of at most ``TERM_BLOCK`` words, takes one mulmod
+    per occurring variable, gathering x_i^e for every term, and is summed
+    mod p.  A polynomial without terms evaluates to uint64 zeros.
+    """
     p = np.uint64(p)
+    nterms = exps.shape[0]
     npts = points.shape[0]
-    acc = np.zeros(npts, dtype=np.uint64)
-    for t in range(exps.shape[0]):
-        term = np.full(npts, coeffs[t], dtype=np.uint64)
-        for i in range(exps.shape[1]):
-            e = int(exps[t, i])
-            for _ in range(e):
-                term = mulmod_vec(term, points[:, i], p)
-        acc = addmod_vec(acc, term, p)
+    if nterms == 0:
+        return np.zeros(npts, dtype=np.uint64)
+    used = np.flatnonzero(exps.any(axis=0))
+    exps = exps[:, used]
+    emax = int(exps.max(initial=1))
+    # pows[e, j] = x_used[j]^e
+    pows = np.empty((emax + 1, used.size, npts), dtype=np.uint64)
+    pows[0] = 1
+    pows[1] = points[:, used].T
+    for e in range(2, emax + 1):
+        pows[e] = mulmod_vec(pows[e - 1], pows[1], p)
+    step = max(1, TERM_BLOCK // max(npts, 1))
+    acc = None
+    for lo in range(0, nterms, step):
+        sub = exps[lo : lo + step]
+        block = coeffs[lo : lo + step, None]
+        for j in range(used.size):
+            block = mulmod_vec(block, pows[sub[:, j], j], p)
+        part = _sum_rows(np.broadcast_to(block, (sub.shape[0], npts)), p)
+        acc = part if acc is None else addmod_vec(acc, part, p)
     return acc
 
 

@@ -67,7 +67,17 @@ class BalanceReport:
         return dict(self.__dict__)
 
 
-def check_balanced(circuit: Circuit) -> BalanceReport:
+@dataclass
+class BalanceScan:
+    """What :func:`check_balanced` measures on one circuit."""
+
+    size: int
+    max_mul_fanin: int
+    max_add_fanin: int
+    halving_ok: bool
+
+
+def check_balanced(circuit: Circuit) -> BalanceScan:
     """Structural scan for the balanced-shape properties.
 
     halving_ok certifies the halving the depth reduction relies on: read
@@ -117,15 +127,11 @@ def check_balanced(circuit: Circuit) -> BalanceReport:
             for c in gate.children:
                 if 2 * var.total(c) > total:
                     halving = False
-    size = circuit.size()
-    return BalanceReport(
-        input_size=size,
-        output_size=size,
+    return BalanceScan(
+        size=circuit.size(),
         max_mul_fanin=max_mul,
         max_add_fanin=max_add,
         halving_ok=halving,
-        k_preserved=True,
-        base_case_count=0,
     )
 
 
@@ -359,7 +365,7 @@ def balance(circuit: Circuit) -> Tuple[Circuit, BalanceReport]:
     ok, _ = _multi_k_verdict(out, k_in)
     return out, BalanceReport(
         input_size=circuit.size(),
-        output_size=out.size(),
+        output_size=scan.size,
         max_mul_fanin=scan.max_mul_fanin,
         max_add_fanin=scan.max_add_fanin,
         halving_ok=scan.halving_ok,

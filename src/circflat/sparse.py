@@ -143,7 +143,7 @@ class SparsePolynomial:
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of points, via the numpy kernels where the modulus
         allows."""
-        if backends.fast_prime_kind(self.field.p) is None or self.num_terms() == 0:
+        if backends.fast_prime_kind(self.field.p) is None:
             return np.asarray(
                 [self.evaluate([int(x) for x in row]) for row in points], dtype=object
             )
@@ -153,12 +153,9 @@ class SparsePolynomial:
     def to_term_arrays(self):
         """(terms, n) uint8 exponent matrix plus uint64 coefficients, in
         canonical term order."""
-        items = sorted(self.terms.items())
-        exps = np.zeros((len(items), self.n), dtype=np.uint8)
-        coeffs = np.zeros(len(items), dtype=np.uint64)
-        for i, (e, c) in enumerate(items):
-            exps[i] = e
-            coeffs[i] = c
+        keys = sorted(self.terms)
+        exps = np.array(keys, dtype=np.uint8).reshape(len(keys), self.n)
+        coeffs = np.array([self.terms[e] for e in keys], dtype=np.uint64)
         return exps, coeffs
 
     # -- serialization -------------------------------------------------------

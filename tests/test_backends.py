@@ -3,10 +3,13 @@ reference."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circflat import backends
 from circflat.errors import ExpansionTooLarge
-from circflat.field import MERSENNE61
+from circflat.field import MERSENNE61, FieldSpec
+from circflat.sparse import SparsePolynomial
 
 PRIMES = [MERSENNE61, 10007, 2]
 
@@ -99,6 +102,50 @@ def test_eval_terms():
     got = backends.eval_terms(exps, coeffs, points, p)
     assert int(got[0]) == (5 + 3 * 2 + 2 * 4 * 3) % p
     assert int(got[1]) == 5
+
+
+def _term_batch(p, n, npts, nterms, seed, worst):
+    """Random exponents 0-3 (repeated rows allowed), coefficients with
+    zeros among them and reduced points.  When ``worst``, every coefficient
+    and coordinate is p - 1 and every exponent even, so every term is p - 1,
+    the largest addend the term sums can meet."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    exps = rng.integers(0, 4, (nterms, n), dtype=np.uint8)
+    if worst:
+        exps &= np.uint8(2)
+        coeffs = np.full(nterms, p - 1, dtype=np.uint64)
+        points = np.full((npts, n), p - 1, dtype=np.uint64)
+    else:
+        coeffs = rng.integers(0, p, nterms, dtype=np.uint64)
+        coeffs[rng.random(nterms) < 0.25] = 0
+        points = rng.integers(0, p, (npts, n), dtype=np.uint64)
+    return exps, coeffs, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 10007, (1 << 31) - 1, MERSENNE61]),
+    n=st.integers(1, 4),
+    npts=st.sampled_from([1, 20, 256]),
+    size=st.sampled_from(["none", "one", "few", "chunks"]),
+    seed=st.integers(0, 2**32 - 1),
+    worst=st.booleans(),
+)
+@example(p=MERSENNE61, n=3, npts=256, size="chunks", seed=0, worst=True)
+@example(p=MERSENNE61, n=2, npts=20, size="few", seed=3, worst=True)
+@example(p=(1 << 31) - 1, n=2, npts=20, size="chunks", seed=1, worst=True)
+@example(p=MERSENNE61, n=1, npts=20, size="none", seed=2, worst=False)
+def test_eval_terms_matches_sparse_evaluate(p, n, npts, size, seed, worst):
+    chunk = max(1, backends.TERM_BLOCK // npts)
+    nterms = {"none": 0, "one": 1, "few": 9, "chunks": 2 * chunk + 3}[size]
+    exps, coeffs, points = _term_batch(p, n, npts, nterms, seed, worst)
+    got = backends.eval_terms(exps, coeffs, points, p)
+    assert got.dtype == np.uint64 and got.shape == (npts,)
+    terms = {}
+    for e, c in zip(map(tuple, exps.tolist()), coeffs.tolist()):
+        terms[e] = (terms.get(e, 0) + c) % p
+    oracle = SparsePolynomial(n, FieldSpec(p), terms)
+    assert got.tolist() == [oracle.evaluate(pt) for pt in points.tolist()]
 
 
 def test_random_points_deterministic():

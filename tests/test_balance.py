@@ -3,6 +3,7 @@
 import pytest
 
 from circflat import (
+    BalanceScan,
     balance,
     brute_force_expand,
     check_balanced,
@@ -34,8 +35,7 @@ def right_comb(n, field=None):
 def test_check_balanced_product_of_two_vars():
     c = build(2, [input_gate(1), input_gate(2), mul_gate((0, 1))])
     rep = check_balanced(c)
-    assert rep.halving_ok
-    assert rep.max_mul_fanin == 2
+    assert rep == BalanceScan(size=2, max_mul_fanin=2, max_add_fanin=0, halving_ok=True)
 
 
 def test_check_balanced_skewed_product():

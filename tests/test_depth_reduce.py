@@ -248,3 +248,22 @@ def test_layered_evaluate_batch_matches_expand(field):
     got = layered.evaluate_batch(pts)
     for i in range(5):
         assert int(got[i]) == poly.evaluate([int(x) for x in pts[i]])
+
+
+def test_layered_zero_pool_entry_stays_on_uint64(field):
+    import numpy as np
+
+    from circflat import LayeredCircuit, SparsePolynomial, Summand
+
+    pool = [
+        SparsePolynomial.zero(2, field),
+        SparsePolynomial(2, field, {(1, 0): 1, (0, 0): 3}),
+        SparsePolynomial.variable(2, field, 2),
+    ]
+    products = [Summand(1, 5, (0, 1)), Summand(1, 2, (1, 2)), Summand(1, 7, (0,))]
+    layered = LayeredCircuit(2, field, 2, pool, products)
+    poly = layered.expand()
+    pts = np.array([[4, 9], [0, 0], [field.p - 1, 2]], dtype=np.uint64)
+    got = layered.evaluate_batch(pts)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [poly.evaluate(pt) for pt in pts.tolist()]
