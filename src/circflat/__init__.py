@@ -31,7 +31,6 @@ from .depth_reduce import (
     Schedule,
     Summand,
     choose_t,
-    expand_sparse,
     extract_subcircuit,
     reduce_depth4,
     reduce_depth_delta,
@@ -49,7 +48,7 @@ from .errors import (
     PreconditionViolated,
     TooManyProofTrees,
 )
-from .expand import brute_force_expand, expand_gate, expansion_bound
+from .expand import brute_force_expand, expand_gate, expand_sparse, expansion_bound
 from .field import DEFAULT_PRIME, MERSENNE61, FieldSpec, is_prime
 from .generators import (
     GeneratorSpec,

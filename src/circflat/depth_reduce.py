@@ -5,7 +5,7 @@ most five factors, each factor again a gate of the circuit with at most
 half of g's potential.  Repeatedly substituting that form into the factor
 of largest |Var| drives every factor below a threshold t, yielding a
 depth-4 shape: a top sum over products whose factors are polynomials on
-at most t variable-degree units, each expanded into its monomials.
+at most t variable-degree units.
 
 The recursion tree is explored as a DAG: product nodes are multisets of
 factor gates (constant factors fold into a per-node scalar), identical
@@ -14,9 +14,10 @@ checked against the termination measure: either the node's total |Var|
 drops by at least t/4, or the number of factors with |Var| >= t/16 grows.
 That measure bounds the tree depth by 20 * kn / t.
 
-For product depth Delta > 2 the bottom factors, each computed by a gate of
-the balanced circuit, are recursively reduced to depth Delta - 1 and
-spliced in place of their monomial expansions.
+Every level runs that exploration and then builds its pool from the
+factor gates: at Delta = 2 each is expanded into its monomials, at
+Delta > 2 each gate's cone is reduced to product depth Delta - 1 by the
+same level step with a smaller threshold.
 """
 
 import heapq
@@ -130,13 +131,7 @@ class LayeredCircuit:
         for sm in self.products:
             acc = [0] * self.n
             for r in sm.factors:
-                entry = self.pool[r]
-                degs = (
-                    entry.per_var_degrees()
-                    if isinstance(entry, SparsePolynomial)
-                    else entry.per_var_degrees()
-                )
-                acc = [a + b for a, b in zip(acc, degs)]
+                acc = [a + b for a, b in zip(acc, self.pool[r].per_var_degrees())]
             out.append(tuple(acc))
         return out
 
@@ -370,7 +365,7 @@ class ExpansionReport:
 
 
 # ---------------------------------------------------------------------------
-# the depth-4 reduction
+# one reduction level
 # ---------------------------------------------------------------------------
 
 
@@ -429,6 +424,21 @@ def reduce_depth4(
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """Balanced circuit -> depth-4 layered form with every bottom
     polynomial of |Var| at most t."""
+    return _reduce_level(balanced, 2, t, s_stat, budget, max_products, strict_measure)
+
+
+def _reduce_level(
+    balanced: Circuit,
+    delta: int,
+    t: int,
+    s_stat: Optional[int],
+    budget: int,
+    max_products: int,
+    strict_measure: bool,
+) -> Tuple[LayeredCircuit, ExpansionReport]:
+    """One reduction level: explore to factors of |Var| at most t, then
+    expand each factor gate (Delta = 2) or reduce its cone to product
+    depth Delta - 1 at the threshold schedule below t."""
     scan = check_balanced(balanced)
     if not scan.halving_ok or scan.max_mul_fanin > 5:
         raise NotBalanced(
@@ -539,8 +549,23 @@ def reduce_depth4(
     # into an already-popped leaf (stored in ``leaves``) are merged in place.
 
     factor_gates = sorted({f for fac in leaves for f in fac})
-    expander = CircuitExpander(balanced, budget)
-    pool = [expander.expand(g) for g in factor_gates]
+    if delta == 2:
+        expander = CircuitExpander(balanced, budget)
+        pool = [expander.expand(g) for g in factor_gates]
+    else:
+        pool = [
+            _reduce_rec(
+                extract_subcircuit(balanced, g),
+                delta - 1,
+                t,
+                s,
+                None,
+                budget,
+                max_products,
+                strict_measure,
+            )[0]
+            for g in factor_gates
+        ]
     index = {g: i for i, g in enumerate(factor_gates)}
     products = []
     top_fanin = 0
@@ -550,8 +575,7 @@ def reduce_depth4(
         top_fanin += count
         products.append(Summand(count=count, coeff=coeff, factors=tuple(index[f] for f in fac)))
 
-    layered = LayeredCircuit(n, balanced.field, 2, pool, products)
-    layered.source_gates = factor_gates
+    layered = LayeredCircuit(n, balanced.field, delta, pool, products)
     out_size = layered.flatten().size()
     envelope = k * t + (kn / t) * math.log2(max(s, 2))
     report = ExpansionReport(
@@ -562,7 +586,7 @@ def reduce_depth4(
         n=n,
         k=k,
         s=s,
-        delta=2,
+        delta=delta,
         bound_ratio=math.log2(max(out_size, 1)) / envelope if envelope > 0 else float("inf"),
         depth_bound_ok=max_depth * t <= 20 * kn,
         measure_ok=measure_violations == 0,
@@ -570,17 +594,6 @@ def reduce_depth4(
         out_size=out_size,
     )
     return layered, report
-
-
-# ---------------------------------------------------------------------------
-# sparse expansion of a single gate (public by name)
-# ---------------------------------------------------------------------------
-
-
-def expand_sparse(circuit: Circuit, gate: int, budget: int = DEFAULT_BUDGET) -> SparsePolynomial:
-    """Exact sparse polynomial of one gate; refuses when the monomial bound
-    prod_i (1 + Var(gate)_i) exceeds the budget."""
-    return CircuitExpander(circuit, budget).expand(gate)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +628,9 @@ def reduce_depth_delta(
     strict_measure: bool = True,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """Full pipeline to product depth at most Delta: balance when the input
-    is not already balanced, reduce to depth 4 at the Delta-level
-    threshold, then recursively reduce every bottom factor to product depth
-    Delta - 1.
+    is not already balanced, then run one reduction level at the
+    Delta-level threshold whose pool holds every bottom factor reduced to
+    product depth Delta - 1 (expanded into monomials at Delta = 2).
 
     Each recursion level keeps the top-level size statistic s and budgets
     its threshold against the *parent level's* t (the bottom factors carry
@@ -651,42 +664,13 @@ def _reduce_rec(
     max_products: int,
     strict_measure: bool,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
+    """This level's threshold (t when given), then the level itself."""
     if t is not None:
         t_val = t
     else:
         # a sub-circuit may realize a smaller potential than its budget
         kn_here = max(inferred_k(bal), 1) * bal.n
         t_val = min(_threshold(potential, s_stat, delta), max(kn_here, 1))
-    layered, report = reduce_depth4(
-        bal,
-        t_val,
-        budget=budget,
-        max_products=max_products,
-        strict_measure=strict_measure,
-        s_stat=s_stat,
-    )
     if delta == 2:
-        return layered, report
-
-    nested_cache: Dict[int, LayeredCircuit] = {}
-    new_pool = []
-    for g in layered.source_gates:
-        if g not in nested_cache:
-            sub = extract_subcircuit(bal, g)
-            nested, _ = _reduce_rec(
-                sub,
-                delta - 1,
-                t_val,
-                s_stat,
-                None,
-                budget,
-                max_products,
-                strict_measure,
-            )
-            nested_cache[g] = nested
-        new_pool.append(nested_cache[g])
-    layered.pool = new_pool
-    layered.delta = delta
-    report.delta = delta
-    report.out_size = layered.flatten().size()
-    return layered, report
+        return reduce_depth4(bal, t_val, budget, max_products, strict_measure, s_stat)
+    return _reduce_level(bal, delta, t_val, s_stat, budget, max_products, strict_measure)

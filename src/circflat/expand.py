@@ -79,9 +79,7 @@ class CircuitExpander:
         return all(d <= b for d, b in zip(self.var.vector(gate), bounds))
 
     def check_budget(self, gate: int) -> int:
-        bound = 1
-        for d in self.var.vector(gate):
-            bound *= 1 + d
+        bound = expansion_bound(self.circuit, gate)
         if bound > self.budget:
             raise ExpansionTooLarge(
                 f"gate {gate}: monomial bound {bound} exceeds budget {self.budget}"
@@ -94,11 +92,6 @@ class CircuitExpander:
             keys, coeffs = self._expand_packed(gate)
             return unpack_poly(keys, coeffs, self.spec, self.circuit.n, self.circuit.field)
         return self._expand_dict(gate)
-
-    def expand_packed(self, gate: int):
-        """Packed (keys, coeffs) for a gate; requires packed mode."""
-        self.check_budget(gate)
-        return self._expand_packed(gate)
 
     def _expand_packed(self, gate: int):
         memo = self._packed
@@ -164,8 +157,12 @@ class CircuitExpander:
 def expand_gate(
     circuit: Circuit, gate: int, budget: int = DEFAULT_BUDGET
 ) -> SparsePolynomial:
-    """Exact sparse polynomial computed at one gate."""
+    """Exact sparse polynomial computed at one gate; refuses when the
+    monomial bound prod_i (1 + Var(gate)_i) exceeds the budget."""
     return CircuitExpander(circuit, budget).expand(gate)
+
+
+expand_sparse = expand_gate
 
 
 def brute_force_expand(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> SparsePolynomial:

@@ -329,7 +329,7 @@ def check_decomposition(
 
     Without v this checks the plain identity for [u]; with v, the
     with-respect-to-v identity for [u:v].  Points are drawn from
-    counter-based streams keyed seed + trial, so verdicts are reproducible.
+    counter-based streams keyed (seed, trial), so verdicts are reproducible.
     The identities are exact, so any disagreement is a hard failure.
     """
     require_valid(circuit)

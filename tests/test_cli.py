@@ -104,6 +104,16 @@ def test_reduce_delta3(tmp_path, pos_file):
     assert run(["verify", pos_file, out]) == 0
 
 
+def test_reduce_delta3_wide_products(tmp_path):
+    from circflat.generators import product_of_sums
+
+    src = tmp_path / "pos24x2.ckt"
+    src.write_text(product_of_sums(24, 2).serialize())
+    out = tmp_path / "d3.ckt"
+    assert run(["reduce", src, "-o", out, "--delta", "3"]) == 0
+    assert run(["verify", src, out]) == 0
+
+
 def test_prime_flag(tmp_path):
     src = tmp_path / "c.ckt"
     src.write_text("circuit k\nnvars 1\ngate 0 = const 103\noutput 0\n")

@@ -1,7 +1,9 @@
 """Depth reduction: schedules, the recursion-tree expansion, layered output
 structure, and the recursive product-depth pipeline."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -17,6 +19,7 @@ from circflat import (
 )
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, InvalidParams, NotBalanced
+from circflat.expand import CircuitExpander
 from circflat.generators import (
     product_of_sums,
     random_multi_k_ic,
@@ -204,6 +207,100 @@ def test_delta_very_deep_recursion(field):
     layered, rep = reduce_depth_delta(orig, 12)
     assert layered.product_depth() <= 12
     assert layered.expand() == brute_force_expand(orig)
+
+
+@pytest.mark.parametrize("args, delta", [((24, 2), 3), ((12, 4), 4), ((16, 3), 3)])
+def test_delta_reduction_of_wide_products(field, args, delta):
+    # every bottom factor is a wide sum; reducing it instead of expanding
+    # it keeps these within the default expansion budget
+    orig = product_of_sums(*args, field)
+    layered, rep = reduce_depth_delta(orig, delta)
+    assert rep.delta == layered.delta == delta
+    assert layered.product_depth() <= delta
+    assert random_equiv(orig, layered, 20, 3).equivalent
+
+
+def test_delta_expands_only_the_bottom_pools(monkeypatch):
+    calls = []
+    expand = CircuitExpander.expand
+
+    def counting(self, gate):
+        calls.append(gate)
+        return expand(self, gate)
+
+    monkeypatch.setattr(CircuitExpander, "expand", counting)
+    layered, _ = reduce_depth_delta(random_multilinear(40, 6, seed=0), 3)
+    assert layered.product_depth() == 3
+    assert len(calls) == len(layered.bottom_var_masses())
+
+
+def test_delta_bound_ratio_uses_returned_out_size():
+    layered, rep = reduce_depth_delta(product_of_sums(16, 2), 3)
+    assert rep.out_size == layered.flatten().size()
+    kn = rep.k * rep.n
+    envelope = rep.k * rep.t + (kn / rep.t) * math.log2(rep.s)
+    assert rep.bound_ratio == math.log2(rep.out_size) / envelope
+
+
+# (circuit, Delta, sha256 of the sorted layered JSON, t, out_size, top_fanin)
+GOLDEN = [
+    (
+        lambda: random_multilinear(60, 10, seed=2),
+        3,
+        "11647deb417c334dccce79cb7136368b9d7e6b02b11c99afd2fa4787ffb8ebec",
+        9,
+        102,
+        15,
+    ),
+    (
+        lambda: random_multilinear(60, 10, seed=2),
+        4,
+        "43e9b8d9edae28d2030e88bbbea9a18bc0b9ad9c66ac64cc13455595014cb88e",
+        9,
+        102,
+        15,
+    ),
+    (
+        lambda: product_of_sums(16, 2),
+        3,
+        "8c5ec1b2c5d55208fb73d83fed5c1d219f43b77833ef0b82decab487dfadc094",
+        19,
+        191,
+        1,
+    ),
+    (
+        lambda: product_of_sums(16, 2),
+        4,
+        "f9a379fc7f5a13c42dd25af84c50091d09995804bfa503013173c478629e6bae",
+        22,
+        191,
+        1,
+    ),
+    (
+        lambda: random_multi_k_ic(60, 3, 12, seed=5),
+        3,
+        "e42a4b837f45b79ea546947c9cb0463d541b69479886e349c8a85e174dcc2ffb",
+        21,
+        636,
+        3,
+    ),
+    (
+        lambda: random_multi_k_ic(60, 3, 12, seed=5),
+        4,
+        "03e2963c9f822b5222777820c8a85c07a2bdd4a96a92fdf490aca99f875bec51",
+        24,
+        135,
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("make, delta, sha, t, out_size, top_fanin", GOLDEN)
+def test_delta_golden_outputs(make, delta, sha, t, out_size, top_fanin):
+    layered, rep = reduce_depth_delta(make(), delta)
+    text = json.dumps(layered.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert (rep.t, rep.out_size, rep.top_fanin) == (t, out_size, top_fanin)
 
 
 def test_delta_invalid(field):
