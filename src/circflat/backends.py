@@ -117,17 +117,17 @@ def eval_quotient_program(kinds, child_off, children, target, vals, p):
     value table ``vals`` from :func:`eval_program`.
 
     Also returns the per-gate reachability mask of the quotient recursion
-    (snipping descends into the last child of every product gate).
+    (snipping descends into the last child of every product gate).  Every
+    child id is below its parent's, so no gate below the target can reach
+    it: the sweep starts at the target and leaves those rows zero.
     """
     p = np.uint64(p)
     ngates, npts = vals.shape
     qvals = np.zeros((ngates, npts), dtype=np.uint64)
     reach = np.zeros(ngates, dtype=np.bool_)
-    for g in range(ngates):
-        if g == target:
-            reach[g] = True
-            qvals[g, :] = np.uint64(1)
-            continue
+    reach[target] = True
+    qvals[target, :] = np.uint64(1)
+    for g in range(target + 1, ngates):
         k = kinds[g]
         if k == KIND_ADD:
             lo = int(child_off[g])

@@ -21,8 +21,11 @@ when it is too heavy, giving products of up to five factors
 
 Keys of potential <= 1 bottom out: they depend on at most one variable, so
 the polynomial is recovered exactly by interpolation at k + 1 points and
-materialized directly.  Only keys actually demanded by the output's
-recursion are built, and each key is built once.
+materialized directly.  Every base key reads the same axis grid, the origin
+plus x_i = 1..k on each axis (n*k + 1 points), which is evaluated once per
+balance call; each quotient target [.:v] is swept over it once, and only
+the rows of its base keys are kept.  Only keys actually demanded by the
+output's recursion are built, and each key is built once.
 
 Two threshold details matter.  The plain identity is used with
 m = max(2, ceil(t/2)): at m = 1 a proof-tree whose rightmost path ends in
@@ -31,6 +34,7 @@ would miss it.  The quotient identity has no such hole (the snipped leaf
 sits at quotient potential 0) and uses m = ceil(t/2) as is.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -210,6 +214,17 @@ class _Balancer:
         self.memo: Dict[NodeKey, int] = {}
         self.base_case_count = 0
         self._fast = backends.fast_prime_kind(circuit.field.p) is not None
+        # The axis grid every base key reads: the origin, then x_i = 1..k
+        # on each axis i in turn (row 1 + i*k + x - 1).
+        n, k = circuit.n, self.k
+        self._grid = np.zeros((n * k + 1, n), dtype=np.uint64)
+        for i in range(n):
+            self._grid[1 + i * k : 1 + (i + 1) * k, i] = np.arange(1, k + 1)
+        # Sweeps over the grid, each run once per balance call: keyed by
+        # quotient target (None for plain values) on the kernels, by
+        # (grid row, target) on the Python path.
+        self._sweeps: Dict = {}
+        self._base_gates_of: Dict[int, list] = {}
 
     # -- potentials ------------------------------------------------------
 
@@ -221,37 +236,63 @@ class _Balancer:
 
     # -- base-case evaluation ---------------------------------------------
 
-    def _eval_key(self, key: NodeKey, points: np.ndarray):
-        """Values of the key's polynomial at each point row."""
-        if self._fast:
-            vals = self.c.eval_table(points)
-            if key[0] == "plain":
-                return [int(x) for x in vals[key[1]]]
-            q = quotient_values_batch(self.c, key[2], vals)
-            return [int(x) for x in q[key[1]]]
-        out = []
-        for row in points:
-            point = [int(x) for x in row]
-            vals = _python_eval_table(self.c, point)
-            if key[0] == "plain":
-                out.append(vals[key[1]])
+    def _base_gates(self, target: int) -> list:
+        """Gates u, ascending, whose key [u:target] is a base case (quotient
+        potential <= 1).  A cached quotient sweep keeps only their rows:
+        whole sweeps, one per target, would grow quadratically with the
+        circuit."""
+        if target not in self._base_gates_of:
+            totals = quotient_table(self.c, target).totals
+            self._base_gates_of[target] = [
+                u
+                for u in range(target, self.c.num_gates)
+                if totals[u] is not None and totals[u] <= 1
+            ]
+        return self._base_gates_of[target]
+
+    def _table(self, target):
+        """Kernel path: plain values of every gate (target None), or
+        [u:target] values of the base gates u, at every grid point."""
+        if target not in self._sweeps:
+            if target is None:
+                table = self.c.eval_table(self._grid)
             else:
-                out.append(_python_quotient_values(self.c, key[2], vals)[key[1]])
-        return out
+                q = quotient_values_batch(self.c, target, self._table(None))
+                table = q[self._base_gates(target)]
+            self._sweeps[target] = table
+        return self._sweeps[target]
+
+    def _row(self, r: int, target):
+        """Python path: the same values at grid row r alone."""
+        if (r, target) not in self._sweeps:
+            if target is None:
+                vals = _python_eval_table(self.c, [int(x) for x in self._grid[r]])
+            else:
+                q = _python_quotient_values(self.c, target, self._row(r, None))
+                vals = [q[u] for u in self._base_gates(target)]
+            self._sweeps[(r, target)] = vals
+        return self._sweeps[(r, target)]
+
+    def _eval_key(self, key: NodeKey, rows):
+        """Values of the key's polynomial at the given grid rows."""
+        if key[0] == "plain":
+            target, i = None, key[1]
+        else:
+            target = key[2]
+            i = bisect.bisect_left(self._base_gates(target), key[1])
+        if self._fast:
+            return [int(x) for x in self._table(target)[i, rows]]
+        return [self._row(r, target)[i] for r in rows]
 
     def base_node(self, key: NodeKey) -> int:
         vec = self.potential_vector(key)
         self.base_case_count += 1
-        n = self.c.n
         if sum(vec) == 0:
-            pts = np.zeros((1, n), dtype=np.uint64)
-            value = self._eval_key(key, pts)[0]
-            return self.out.const(value)
+            return self.out.const(self._eval_key(key, [0])[0])
         i = live_variable(vec)
         xs = list(range(self.k + 1))
-        pts = np.zeros((self.k + 1, n), dtype=np.uint64)
-        pts[:, i] = np.asarray(xs, dtype=np.uint64)
-        ys = self._eval_key(key, pts)
+        rows = [0] + list(range(1 + i * self.k, 1 + (i + 1) * self.k))
+        ys = self._eval_key(key, rows)
         coeffs = lagrange_interpolate(xs, ys, self.c.field)
         terms = []
         for j, cj in enumerate(coeffs):

@@ -3,8 +3,9 @@
 Subcommands: validate, stats, balance, reduce, verify, gen, bench.  Global
 flags (--prime, --seed, --budget) are mirrored by the environment
 variables CIRCFLAT_PRIME, CIRCFLAT_SEED and CIRCFLAT_BUDGET; explicit
-flags win.  With --error-json, failures print one machine-readable JSON
-object on stdout before exiting nonzero.
+flags win, and a variable read in place of a missing flag must be an
+integer (else exit 2).  With --error-json, failures print one
+machine-readable JSON object on stdout before exiting nonzero.
 
 Exit codes: 0 success (or Equivalent), 1 failed check (diagnostics, or
 NotEquivalent), 2 parse/usage errors, 3 violated preconditions, 4
@@ -52,34 +53,46 @@ _EXIT_CODES = (
 )
 
 
-def _env_default(name, cast, fallback):
+# global flag -> (environment variable, default when neither is set)
+_ENV_DEFAULTS = {
+    "prime": ("CIRCFLAT_PRIME", DEFAULT_PRIME),
+    "seed": ("CIRCFLAT_SEED", 0),
+    "budget": ("CIRCFLAT_BUDGET", 1 << 20),
+}
+
+
+def _env_default(parser, name, fallback):
+    """Integer value of the environment variable ``name``, or ``fallback``
+    when it is unset or empty; a value that is not an integer is a usage
+    error (exit 2)."""
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return fallback
     try:
-        return cast(raw)
+        return int(raw)
     except ValueError:
-        return fallback
+        parser.error(f"environment variable {name}: {raw!r} is not an integer")
 
 
 def _add_globals(parser, suppress=False):
+    # None marks a flag not given; main then reads the environment
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument(
         "--prime",
         type=int,
-        default=d if suppress else _env_default("CIRCFLAT_PRIME", int, DEFAULT_PRIME),
+        default=d,
         help="prime modulus for all circuit semantics (default 2^61 - 1)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=d if suppress else _env_default("CIRCFLAT_SEED", int, 0),
+        default=d,
         help="seed for randomized checks",
     )
     parser.add_argument(
         "--budget",
         type=int,
-        default=d if suppress else _env_default("CIRCFLAT_BUDGET", int, 1 << 20),
+        default=d,
         help="monomial budget for exact expansions",
     )
     parser.add_argument(
@@ -138,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--fit-json", help="write per-threshold fit summary")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run corpus items concurrently (every run is a pure function)",
-    )
 
     # accept the global flags after the subcommand as well
     for name, sp in sub.choices.items():
@@ -339,19 +346,9 @@ def _cmd_bench(args, field):
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     trials = config.get("trials", 20)
-    items = config["items"]
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(
-                lambda item: _bench_item_rows(item, field, trials, args.budget), items
-            )
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = []
-        for item in items:
-            rows.extend(_bench_item_rows(item, field, trials, args.budget))
+    rows = []
+    for item in config["items"]:
+        rows.extend(_bench_item_rows(item, field, trials, args.budget))
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
         writer.writeheader()
@@ -402,7 +399,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, (name, fallback) in _ENV_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, _env_default(parser, name, fallback))
     try:
         field = FieldSpec(args.prime)
         return _COMMANDS[args.command](args, field)

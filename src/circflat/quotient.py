@@ -68,11 +68,10 @@ class QuotientTable:
         ng = circuit.num_gates
         reachable = [False] * ng
         vectors: List[Optional[VarVector]] = [None] * ng
-        for g in range(ng):
-            if g == v:
-                reachable[g] = True
-                vectors[g] = zero
-                continue
+        # children precede parents, so no gate below v reaches it
+        reachable[v] = True
+        vectors[v] = zero
+        for g in range(v + 1, ng):
             gate = circuit.gates[g]
             if gate.kind == ADD:
                 acc = None
@@ -144,10 +143,8 @@ def _python_eval_table(circuit: Circuit, point) -> list:
 def _python_quotient_values(circuit: Circuit, v: int, vals: list) -> list:
     p = circuit.field.p
     q = [0] * circuit.num_gates
-    for g in range(circuit.num_gates):
-        if g == v:
-            q[g] = 1
-            continue
+    q[v] = 1
+    for g in range(v + 1, circuit.num_gates):
         gate = circuit.gates[g]
         if gate.kind == ADD:
             q[g] = sum(q[c] for c in gate.children) % p

@@ -1,7 +1,7 @@
 import pytest
 
 from circflat import FieldSpec, random_multilinear
-from circflat.circuit import Circuit, add_gate, input_gate, mul_gate
+from circflat.circuit import Circuit, add_gate, const_gate, input_gate, mul_gate
 
 # 50 seeded multilinear circuits, n <= 12 and at most 100 gates, with a
 # sprinkle of <= 16-gate instances so the exhaustive proof-tree checks have
@@ -44,6 +44,12 @@ def build(n, gates, output=None, field=None, name="t"):
     """Shorthand circuit constructor for tests."""
     out = len(gates) - 1 if output is None else output
     return Circuit(n, gates, out, field=field or FieldSpec(), name=name)
+
+
+def at_prime(c, p):
+    """The same gates over F_p, constants reduced mod p."""
+    gates = [const_gate(g.value % p) if g.kind == "const" else g for g in c.gates]
+    return Circuit(c.n, gates, c.output, field=FieldSpec(p), name=c.name)
 
 
 def pos22(field=None):

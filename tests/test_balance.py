@@ -1,23 +1,35 @@
 """The balancing pass: structure of the output, exactness, determinism."""
 
+import hashlib
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circflat import (
     BalanceScan,
+    backends,
     balance,
     brute_force_expand,
     check_balanced,
     check_multi_k_ic,
     compute_var,
+    expansion_bound,
     random_equiv,
 )
+from circflat.analysis import inferred_k
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import FieldTooSmall, InvalidCircuit
 from circflat.field import FieldSpec
 from circflat.generators import random_multi_k_ic, random_multilinear
 from circflat.normalize import normalized
 
-from conftest import build
+from conftest import at_prime, build
+from test_var import circuits
+
+M61 = (1 << 61) - 1
+M31 = (1 << 31) - 1
+P62 = (1 << 62) - 57
 
 
 def right_comb(n, field=None):
@@ -259,3 +271,80 @@ def test_balance_potential_halving_structure(field):
         ref = max([var.total(g)] + [var.total(a) for a in add_parents.get(g, ())])
         for c in gate.children:
             assert 2 * var.total(c) <= ref
+
+
+# -- base-case evaluation ---------------------------------------------------
+
+
+def test_balance_evaluates_once_and_sweeps_each_target_once(monkeypatch):
+    c = normalized(random_multilinear(200, 16, seed=0))
+    evals = []
+    targets = []
+    eval_program = backends.eval_program
+    eval_quotient_program = backends.eval_quotient_program
+
+    def spy_eval(kinds, payload, child_off, children, points, p):
+        evals.append(points.shape)
+        return eval_program(kinds, payload, child_off, children, points, p)
+
+    def spy_quotient(kinds, child_off, children, target, vals, p):
+        targets.append(target)
+        return eval_quotient_program(kinds, child_off, children, target, vals, p)
+
+    monkeypatch.setattr(backends, "eval_program", spy_eval)
+    monkeypatch.setattr(backends, "eval_quotient_program", spy_quotient)
+    balance(c)
+    # one sweep over the whole axis grid: the origin plus x_i = 1..k per axis
+    assert evals == [(c.n * max(inferred_k(c), 1) + 1, c.n)]
+    assert targets and len(targets) == len(set(targets))
+
+
+# balanced-text sha256 at each kernel regime; k = 3 gives the axis grid
+# several rows per axis
+GOLDEN = [
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)),
+        "c663c86ee345ce0cb20795a0e1e437b467bf970e20fb95e0a2b3591e5f9c84d5",
+    ),
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M31)),
+        "888eb0bb7fd3ba0b4069b6e70d7e9b3d429cb257e9ccd905c2e4b1b65eec0616",
+    ),
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(P62)),
+        "1ef2c53af26654d3b3301cad05164ca4117dc42ff9b724e4f3670d01bc0feb78",
+    ),
+    (
+        lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(M61)),
+        "3002658db1d30dcca0e4a84d13d03d46d7e112231c7add25b22f3f6b4d0fde6b",
+    ),
+    (
+        lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)),
+        "a46fbf82f4222efae0cc918060b2aa05567cc9061137c4bdcabf27c204bbaa23",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, sha", GOLDEN)
+def test_balance_golden_outputs(make, sha):
+    out, _ = balance(normalized(make()))
+    assert hashlib.sha256(out.serialize().encode()).hexdigest() == sha
+
+
+PROPERTY_PRIMES = (2, 3, 5, 7, 10007, M61, P62)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.sampled_from(PROPERTY_PRIMES))
+def test_balance_matches_oracle_property(c, p):
+    c = at_prime(c, p)
+    assume(expansion_bound(c, c.output) <= 1 << 16)
+    norm = normalized(c)
+    if p <= max(inferred_k(norm), 1):
+        with pytest.raises(FieldTooSmall):
+            balance(norm)
+        return
+    out, _ = balance(norm)
+    assert brute_force_expand(out) == brute_force_expand(c)
+    scan = check_balanced(out)
+    assert scan.halving_ok and scan.max_mul_fanin <= 5

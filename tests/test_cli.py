@@ -179,3 +179,21 @@ def test_kernel_size_limit_exits_4(tmp_path, pos_file, monkeypatch, capsys):
     code = run(["--error-json", "reduce", pos_file, "-o", tmp_path / "o.ckt", "--delta", "2"])
     assert code == 4
     assert json.loads(capsys.readouterr().out.strip())["error"] == "ExpansionTooLarge"
+
+
+@pytest.mark.parametrize("name", ["CIRCFLAT_PRIME", "CIRCFLAT_SEED", "CIRCFLAT_BUDGET"])
+def test_unparsable_env_default_is_usage_error(pos_file, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "12x")
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", pos_file])
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+
+
+def test_flag_wins_over_unparsable_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("CIRCFLAT_PRIME", "12x")
+    src = tmp_path / "c.ckt"
+    src.write_text("circuit k\nnvars 1\ngate 0 = const 103\noutput 0\n")
+    out = tmp_path / "o.ckt"
+    assert run(["--prime", "101", "balance", src, "-o", out]) == 0
+    assert "const 2" in out.read_text()

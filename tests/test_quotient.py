@@ -3,7 +3,10 @@ identities, cross-checked against snipped proof-tree enumeration."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circflat import (
     check_decomposition,
@@ -14,14 +17,21 @@ from circflat import (
     proof_tree_sum,
     quotient_table,
 )
+from circflat.backends import random_point_batch
 from circflat.circuit import add_gate, input_gate, mul_gate
 from circflat.errors import PreconditionViolated
 from circflat.generators import random_multilinear
 from circflat.normalize import normalized
-from circflat.quotient import decomposition_terms
+from circflat.quotient import (
+    _python_eval_table,
+    _python_quotient_values,
+    decomposition_terms,
+    quotient_values_batch,
+)
 from circflat.verify import enumerate_proof_trees_with_paths
 
-from conftest import build, pos22
+from conftest import at_prime, build, pos22
+from test_var import circuits
 
 
 def test_quotient_of_self():
@@ -338,3 +348,24 @@ def test_decomposition_terms_skip_dead_edges():
     # at m = 2 only the right add (gate 5) is quotient-reachable from root
     terms = decomposition_terms(c, c.output, 2)
     assert {(t.w, t.z) for t in terms} == {(5, 2), (5, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    circuits(),
+    st.sampled_from((2, 3, 5, 7, 10007, (1 << 31) - 1, (1 << 61) - 1)),
+    st.integers(0, 1 << 16),
+)
+def test_quotient_kernel_matches_python_property(c, p, seed):
+    """The kernel sweep and the Python sweep agree on [g:v] for every gate g
+    and every target v, at random points."""
+    c = at_prime(c, p)
+    points = random_point_batch(seed, 3, c.n, p)
+    vals = c.eval_table(points)
+    rows = [_python_eval_table(c, [int(x) for x in pt]) for pt in points]
+    for v in range(c.num_gates):
+        kernel = quotient_values_batch(c, v, vals)
+        python = np.array(
+            [_python_quotient_values(c, v, row) for row in rows], dtype=np.uint64
+        ).T
+        assert np.array_equal(kernel, python), v
