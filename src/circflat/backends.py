@@ -252,8 +252,17 @@ def random_points(seed: int, trial: int, n: int, p: int) -> np.ndarray:
 
 
 def random_point_batch(seed: int, trials: int, n: int, p: int) -> np.ndarray:
-    """(trials, n) matrix of evaluation points, one Philox stream per trial."""
+    """(trials, n) matrix of evaluation points, one Philox stream per trial.
+
+    Row t equals ``random_points(seed, t, n, p)``.  One generator serves
+    every row: before each draw its state is reset to the fresh state of
+    key (seed, t), which is cheaper than building a new generator."""
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     pts = np.empty((trials, n), dtype=np.uint64)
     for t in range(trials):
-        pts[t] = random_points(seed, t, n, p)
+        fresh["state"]["key"] = np.array([seed, t], dtype=np.uint64)
+        bitgen.state = fresh
+        pts[t] = rng.integers(0, p, size=n, dtype=np.uint64)
     return pts

@@ -229,12 +229,6 @@ class PackSpec:
                 key |= e << s
         return key
 
-    def unpack(self, key: int) -> Exponents:
-        out = []
-        for s, w in zip(self.shifts, self.widths):
-            out.append((key >> s) & ((1 << w) - 1) if w else 0)
-        return tuple(out)
-
 
 def pack_poly(poly: SparsePolynomial, spec: PackSpec):
     keys = np.fromiter(
@@ -245,5 +239,9 @@ def pack_poly(poly: SparsePolynomial, spec: PackSpec):
 
 
 def unpack_poly(keys, coeffs, spec: PackSpec, n: int, field: FieldSpec) -> SparsePolynomial:
-    terms = {spec.unpack(int(k)): int(c) for k, c in zip(keys, coeffs)}
-    return SparsePolynomial(n, field, terms)
+    """Sparse polynomial of packed uint64 terms: one broadcast shift and mask
+    builds the (terms, n) exponent matrix."""
+    shifts = np.asarray(spec.shifts, dtype=np.uint64)
+    masks = np.asarray([(1 << w) - 1 for w in spec.widths], dtype=np.uint64)
+    exps = (keys[:, None] >> shifts) & masks
+    return SparsePolynomial(n, field, dict(zip(map(tuple, exps.tolist()), coeffs.tolist())))

@@ -6,6 +6,12 @@ proof-tree enumerator here are independent routes to the same polynomial:
 the value of a gate is the sum of the values of all proof-trees rooted at
 it.  Cross-checking the two on small circuits validates both; randomized
 evaluation at points of a large prime field covers everything bigger.
+
+The enumerator carries each tree's exponent vector as one packed Python
+int, so a product adds keys instead of zipping tuples.  Its bit layout is
+its own (see :class:`_TreeEnumerator`); it does not use the oracle's
+:class:`circflat.sparse.PackSpec` or the uint64 kernels in
+:mod:`circflat.backends`, so the two routes stay independent.
 """
 
 import itertools
@@ -60,16 +66,30 @@ def count_proof_trees(circuit: Circuit, root: int, snip: Optional[int] = None) -
 
 
 class _TreeEnumerator:
-    """Materializes every (snipped) proof-tree as a monomial plus its
-    rightmost path.  Choice order follows child order, so the output is
-    deterministic."""
+    """Materializes every (snipped) proof-tree rooted at ``root`` as a packed
+    monomial key, a coefficient and its rightmost path.  Choice order
+    follows child order, so the output is deterministic.
 
-    def __init__(self, circuit: Circuit, snip: Optional[int]):
+    Variable i owns the bits [w*i, w*(i+1)) of the key, where w is the bit
+    length of the largest coordinate of Var(root).  No tree below the root,
+    plain or snipped, has an exponent above Var(root), so adding the keys of
+    a product's children never carries from one field into the next.
+    """
+
+    def __init__(self, circuit: Circuit, root: int, snip: Optional[int]):
         self.c = circuit
         self.snip = snip
-        self.zero = (0,) * circuit.n
+        self.width = max(max(compute_var(circuit).vector(root), default=0).bit_length(), 1)
+        self.shifts = list(range(0, self.width * circuit.n, self.width))
+        self.mask = (1 << self.width) - 1
         self.plain_memo = {}
         self.snip_memo = {}
+
+    def unpack(self, keys) -> List[tuple]:
+        """Exponent tuple of each packed key."""
+        mask = self.mask
+        shifts = self.shifts
+        return [tuple([(key >> s) & mask for s in shifts]) for key in keys]
 
     def plain(self, g: int) -> list:
         if g in self.plain_memo:
@@ -77,10 +97,9 @@ class _TreeEnumerator:
         gate = self.c.gates[g]
         p = self.c.field.p
         if gate.kind == INPUT:
-            exps = tuple(1 if i == gate.var - 1 else 0 for i in range(self.c.n))
-            out = [(exps, 1, (g,))]
+            out = [(1 << (self.width * (gate.var - 1)), 1, (g,))]
         elif gate.kind == CONST:
-            out = [(self.zero, gate.value, (g,))]
+            out = [(0, gate.value, (g,))]
         elif gate.kind == ADD:
             out = [
                 (e, co, (g,) + rp)
@@ -91,12 +110,12 @@ class _TreeEnumerator:
             out = []
             child_lists = [self.plain(c) for c in gate.children]
             for combo in itertools.product(*child_lists):
-                exps = self.zero
+                key = 0
                 coeff = 1
                 for e, co, _ in combo:
-                    exps = tuple(x + y for x, y in zip(exps, e))
+                    key += e
                     coeff = coeff * co % p
-                out.append((exps, coeff, (g,) + combo[-1][2]))
+                out.append((key, coeff, (g,) + combo[-1][2]))
         self.plain_memo[g] = out
         return out
 
@@ -105,7 +124,7 @@ class _TreeEnumerator:
             return self.snip_memo[g]
         p = self.c.field.p
         if g == self.snip:
-            out = [(self.zero, 1, (g,))]
+            out = [(0, 1, (g,))]
         else:
             gate = self.c.gates[g]
             if gate.kind == ADD:
@@ -119,23 +138,27 @@ class _TreeEnumerator:
                 left_lists = [self.plain(c) for c in gate.children[:-1]]
                 tail = self.snipped(gate.children[-1])
                 for combo in itertools.product(*left_lists):
-                    base = self.zero
+                    base = 0
                     coeff = 1
                     for e, co, _ in combo:
-                        base = tuple(x + y for x, y in zip(base, e))
+                        base += e
                         coeff = coeff * co % p
                     for e, co, rp in tail:
-                        out.append(
-                            (
-                                tuple(x + y for x, y in zip(base, e)),
-                                coeff * co % p,
-                                (g,) + rp,
-                            )
-                        )
+                        out.append((base + e, coeff * co % p, (g,) + rp))
             else:
                 out = []
         self.snip_memo[g] = out
         return out
+
+
+def _packed_trees(circuit: Circuit, root: int, snip: Optional[int], cap: int):
+    """The enumerator and its list of (packed key, coefficient, rightmost
+    path), after refusing more than ``cap`` trees."""
+    count = count_proof_trees(circuit, root, snip)
+    if count > cap:
+        raise TooManyProofTrees(f"{count} proof-trees exceeds cap {cap}")
+    enum = _TreeEnumerator(circuit, root, snip)
+    return enum, (enum.plain(root) if snip is None else enum.snipped(root))
 
 
 def enumerate_proof_trees_with_paths(
@@ -143,11 +166,9 @@ def enumerate_proof_trees_with_paths(
 ) -> List[Tuple[tuple, int, tuple]]:
     """(exponents, coefficient, rightmost path) per tree.  The coefficient
     is kept even when it is zero mod p: the trees are syntactic objects."""
-    count = count_proof_trees(circuit, root, snip)
-    if count > cap:
-        raise TooManyProofTrees(f"{count} proof-trees exceeds cap {cap}")
-    enum = _TreeEnumerator(circuit, snip)
-    return enum.plain(root) if snip is None else enum.snipped(root)
+    enum, trees = _packed_trees(circuit, root, snip, cap)
+    exps = enum.unpack(key for key, _, _ in trees)
+    return [(e, co, rp) for e, (_, co, rp) in zip(exps, trees)]
 
 
 def enumerate_proof_trees(
@@ -162,16 +183,16 @@ def enumerate_proof_trees(
 def proof_tree_sum(
     circuit: Circuit, root: int, snip: Optional[int] = None, cap: int = 1 << 16
 ) -> SparsePolynomial:
-    """Sum of the values of all (snipped) proof-trees, as a polynomial."""
-    terms = {}
-    p = circuit.field.p
-    for exps, coeff in enumerate_proof_trees(circuit, root, snip, cap):
-        s = (terms.get(exps, 0) + coeff) % p
-        if s:
-            terms[exps] = s
-        else:
-            terms.pop(exps, None)
-    return SparsePolynomial(circuit.n, circuit.field, terms)
+    """Sum of the values of all (snipped) proof-trees, as a polynomial.
+    Coefficients are summed per packed key; each distinct monomial is
+    unpacked once."""
+    enum, trees = _packed_trees(circuit, root, snip, cap)
+    sums = {}
+    for key, coeff, _ in trees:
+        sums[key] = sums.get(key, 0) + coeff
+    return SparsePolynomial(
+        circuit.n, circuit.field, dict(zip(enum.unpack(sums), sums.values()))
+    )
 
 
 # ---------------------------------------------------------------------------

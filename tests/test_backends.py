@@ -1,6 +1,8 @@
 """Cross-checks of the numpy kernels against a plain Python integer
 reference."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -158,6 +160,43 @@ def test_random_points_deterministic():
     d = backends.random_points(0, 1, 6, MERSENNE61)
     e = backends.random_points(1, 0, 6, MERSENNE61)
     assert (d != e).any()
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 31) - 1, 2, 10007, (1 << 62) - 57])
+def test_random_point_batch_rows_are_random_points(p):
+    batch = backends.random_point_batch(9, 40, 5, p)
+    assert batch.dtype == np.uint64 and batch.shape == (40, 5)
+    for t in range(40):
+        assert batch[t].tolist() == backends.random_points(9, t, 5, p).tolist()
+
+
+# sha256 of repr(random_point_batch(5, 16, 6, p).tolist()), with its first row
+POINT_BATCH_GOLDEN = [
+    (
+        MERSENNE61,
+        "5e843b263f1728aab8b83a1d0b5eb94b4794252bec0d25f19cb2840359eef4f4",
+        [1691902981900837265, 1361647900084346184, 479174793077740180,
+         1022325686587482399, 574152217120240512, 1562417801392023163],
+    ),
+    (
+        (1 << 31) - 1,
+        "f0d88841450d7d85c8361ffded9176556ad35d0eada47317cff07d1b3d468068",
+        [444499528, 1575707440, 113014051, 1268133427, 2061584976, 446266301],
+    ),
+    (
+        (1 << 62) - 57,
+        "2057bb1e76d65613f22690a22f62ca5d504ff54903d124f51aa2cc7c6d9338a2",
+        [3383805963801674490, 2723295800168692336, 958349586155480348,
+         2044651373174964774, 1148304434240481011, 3124835602784046289],
+    ),
+]
+
+
+@pytest.mark.parametrize("p,digest,first", POINT_BATCH_GOLDEN)
+def test_random_point_batch_golden(p, digest, first):
+    batch = backends.random_point_batch(5, 16, 6, p).tolist()
+    assert batch[0] == first
+    assert hashlib.sha256(repr(batch).encode()).hexdigest() == digest
 
 
 def test_merge_refuses_oversize():

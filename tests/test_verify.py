@@ -1,9 +1,11 @@
 """The oracle layer: brute-force expansion vs proof-tree enumeration,
 randomized equivalence, structural reports and bound ratios."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from circflat import (
     Schedule,
@@ -19,9 +21,12 @@ from circflat.circuit import Circuit, Gate, add_gate, const_gate, input_gate, mu
 from circflat.errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
 from circflat.expand import expansion_bound
 from circflat.field import FieldSpec
-from circflat.generators import full_multilinear, random_multilinear
+from circflat.generators import full_multilinear, random_multi_k_ic, random_multilinear
+from circflat.sparse import SparsePolynomial
+from circflat.verify import enumerate_proof_trees_with_paths
 
 from conftest import build, pos22
+from test_var import circuits
 
 
 def test_expand_single_variable():
@@ -86,6 +91,70 @@ def test_zero_coefficient_trees_are_kept():
     c = build(1, [input_gate(1), const_gate(0), mul_gate((0, 1))])
     trees = enumerate_proof_trees(c, 2)
     assert trees == [((1,), 0)]
+
+
+# sha256 of repr(enumerate_proof_trees_with_paths(...)): exponents,
+# coefficients, rightmost paths and tree order are all pinned.
+TREE_GOLDEN = [
+    (
+        lambda: random_multilinear(80, 8, seed=2),
+        None,
+        "e10f5cd600c324cc506e4850637ac756a2a9228fa023e437367f17ebc4559c75",
+    ),
+    (
+        lambda: random_multi_k_ic(50, 3, 6, seed=2),
+        None,
+        "7adc76df81c160db52513cf3587c0c3ba34f3d58f47678e5d294712b963a69e2",
+    ),
+    (
+        lambda: random_multilinear(80, 8, seed=2),
+        7,
+        "2d70e60319acd7a55d2b8c1c62d578895b3365461ed0cc84f4c47a2d4950f122",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,snip,digest", TREE_GOLDEN)
+def test_tree_enumeration_golden(make, snip, digest):
+    c = make()
+    trees = enumerate_proof_trees_with_paths(c, c.output, snip=snip)
+    assert hashlib.sha256(repr(trees).encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits())
+def test_proof_tree_sum_matches_oracle_property(c):
+    """Squares and repeated products give exponents above 1; the packed
+    tree keys must still sum to the oracle's polynomial."""
+    assume(count_proof_trees(c, c.output) <= 1 << 14)
+    oracle = brute_force_expand(c, budget=expansion_bound(c, c.output))
+    assert proof_tree_sum(c, c.output, cap=1 << 14) == oracle
+
+
+def test_tree_keys_do_not_carry_at_full_field():
+    """x1^3 * x2 * (x3 + 1) + x1 * x2: Var(root) = (3, 1, 1), so the x1
+    field is two bits wide and x1^3 fills it, next to a nonzero x2."""
+    f = FieldSpec()
+    x = [SparsePolynomial.variable(3, f, i) for i in (1, 2, 3)]
+    gates = [
+        input_gate(1),
+        input_gate(2),
+        input_gate(3),
+        const_gate(1),
+        mul_gate((0, 0)),
+        mul_gate((4, 0)),
+        add_gate((2, 3)),
+        mul_gate((1, 5, 6)),
+        mul_gate((0, 1)),
+        add_gate((7, 8)),
+    ]
+    c = build(3, gates, field=f)
+    cube = x[0].mul(x[0]).mul(x[0])
+    want = cube.mul(x[1]).mul(x[2].add(SparsePolynomial.const(3, f, 1))).add(x[0].mul(x[1]))
+    assert proof_tree_sum(c, c.output) == brute_force_expand(c) == want
+    # snipping the sum (x3 + 1) leaves the left factors x2 * x1^3
+    assert proof_tree_sum(c, c.output, snip=6) == cube.mul(x[1])
+    assert proof_tree_sum(c, 7, snip=6) == cube.mul(x[1])
 
 
 # -- randomized equivalence -----------------------------------------------------
