@@ -1,12 +1,15 @@
 """Kernels for field arithmetic, circuit evaluation, sparse-polynomial
-evaluation and packed sparse-polynomial algebra, written with numpy on
-uint64 words.
+evaluation and packed sparse-polynomial algebra, written with numpy.
 
-Fast arithmetic is available for two families of primes: the Mersenne prime
-2^61 - 1 (products are reduced with shift/mask folding, no 128-bit
-intermediate needed) and any prime below 2^31 (products fit a 64-bit word
-directly).  For other primes the callers use plain Python integers; see
-:func:`fast_prime_kind`.
+Word arithmetic on uint64 arrays is available for two families of primes:
+the Mersenne prime 2^61 - 1 (products are reduced with shift/mask folding,
+no 128-bit intermediate needed) and any prime below 2^31 (products fit a
+64-bit word directly).  For every other prime the evaluation kernels
+(:func:`eval_program`, :func:`eval_quotient_program`, :func:`eval_terms`)
+run the same code on object arrays of Python ints, whose products never
+overflow; :func:`field_dtype` picks the dtype from the prime.  The packed
+merge and multiply stay uint64-only, and balance keeps its own row-wise
+Python path for those primes.
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
@@ -17,7 +20,7 @@ vectorized over terms in chunks of bounded size.
 
 import numpy as np
 
-from .errors import ExpansionTooLarge
+from .errors import ExpansionTooLarge, InvalidParams
 
 MERSENNE61 = np.uint64((1 << 61) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -46,8 +49,9 @@ def active_backend() -> str:
 
 
 def fast_prime_kind(p: int):
-    """'mersenne61', 'small' (p < 2^31) or None when only the pure-Python
-    integer path can serve this modulus."""
+    """'mersenne61', 'small' (p < 2^31) or None when no uint64 word kernel
+    serves this modulus: the evaluation kernels then work on object arrays,
+    and the packed expansion and balance use Python-int paths."""
     if p == int(MERSENNE61):
         return "mersenne61"
     if p < (1 << 31):
@@ -55,8 +59,16 @@ def fast_prime_kind(p: int):
     return None
 
 
+def field_dtype(p: int) -> np.dtype:
+    """Element dtype of the evaluation kernels' arrays at prime p: uint64
+    where :func:`fast_prime_kind` names a word kernel, else object (Python
+    ints).  ``field_dtype(p).type(p)`` is the modulus as a matching scalar."""
+    return np.dtype(np.uint64 if fast_prime_kind(int(p)) else object)
+
+
 def mulmod_vec(a, b, p):
-    """Vectorized (a * b) mod p on uint64 arrays; p must be fast-capable."""
+    """Vectorized (a * b) mod p on arrays of reduced values of
+    ``field_dtype(p)``, with p the matching scalar."""
     if p == MERSENNE61:
         a0 = a & _MASK32
         a1 = a >> np.uint64(32)
@@ -78,20 +90,24 @@ def mulmod_vec(a, b, p):
 
 
 def addmod_vec(a, b, p):
-    """Vectorized (a + b) mod p on uint64 arrays of reduced values."""
+    """Vectorized (a + b) mod p on arrays of reduced values."""
     s = a + b
+    if s.dtype == object:
+        return s % p
     return np.where(s >= p, s - p, s)
 
 
 def eval_program(kinds, payload, child_off, children, points, p):
     """Evaluate every gate of an encoded circuit at a batch of points.
 
-    Returns a (ngates, npoints) uint64 table of values mod p.
+    Returns a (ngates, npoints) table of values mod p, of
+    ``field_dtype(p)``; the payload must have that dtype too.
     """
-    p = np.uint64(p)
+    dtype = field_dtype(p)
+    p = dtype.type(int(p))
     ngates = kinds.shape[0]
     npts = points.shape[0]
-    vals = np.zeros((ngates, npts), dtype=np.uint64)
+    vals = np.zeros((ngates, npts), dtype=dtype)
     for g in range(ngates):
         k = kinds[g]
         if k == KIND_INPUT:
@@ -121,12 +137,12 @@ def eval_quotient_program(kinds, child_off, children, target, vals, p):
     child id is below its parent's, so no gate below the target can reach
     it: the sweep starts at the target and leaves those rows zero.
     """
-    p = np.uint64(p)
+    p = vals.dtype.type(int(p))
     ngates, npts = vals.shape
-    qvals = np.zeros((ngates, npts), dtype=np.uint64)
+    qvals = np.zeros((ngates, npts), dtype=vals.dtype)
     reach = np.zeros(ngates, dtype=np.bool_)
     reach[target] = True
-    qvals[target, :] = np.uint64(1)
+    qvals[target, :] = 1
     for g in range(target + 1, ngates):
         k = kinds[g]
         if k == KIND_ADD:
@@ -161,10 +177,10 @@ def _join_halves(shi, slo, p):
 
 
 def _sum_rows(block, p):
-    """Column sums mod p of a (rows, points) block of reduced values.  When
-    the rows could overflow one uint64 sum, the high and the low 32-bit
-    halves are summed apart."""
-    if block.shape[0] <= ((1 << 64) - 1) // (int(p) - 1):
+    """Column sums mod p of a (rows, points) block of values.  Python ints
+    are summed directly.  When the rows could overflow one uint64 sum, the
+    high and the low 32-bit halves are summed apart."""
+    if block.dtype == object or block.shape[0] <= ((1 << 64) - 1) // (int(p) - 1):
         return block.sum(axis=0) % p
     return _join_halves(
         (block >> np.uint64(32)).sum(axis=0), (block & _MASK32).sum(axis=0), p
@@ -211,20 +227,24 @@ def eval_terms(exps, coeffs, points, p):
 
     Vectorized over terms: the powers of every variable that occurs are
     built once, up to the largest exponent; then each chunk of terms, a
-    (terms, points) block of at most ``TERM_BLOCK`` words, takes one mulmod
-    per occurring variable, gathering x_i^e for every term, and is summed
-    mod p.  A polynomial without terms evaluates to uint64 zeros.
+    (terms, points) block of at most ``TERM_BLOCK`` entries, takes one
+    multiply per occurring variable, gathering x_i^e for every term, and is
+    summed mod p.  uint64 blocks are reduced after every multiply; object
+    blocks of Python ints only once, when the chunk is summed.  The result
+    has ``field_dtype(p)``; a polynomial without terms evaluates to zeros.
     """
-    p = np.uint64(p)
+    dtype = field_dtype(p)
+    p = dtype.type(int(p))
     nterms = exps.shape[0]
     npts = points.shape[0]
     if nterms == 0:
-        return np.zeros(npts, dtype=np.uint64)
+        return np.zeros(npts, dtype=dtype)
+    coeffs = coeffs.astype(dtype, copy=False)
     used = np.flatnonzero(exps.any(axis=0))
     exps = exps[:, used]
     emax = int(exps.max(initial=1))
     # pows[e, j] = x_used[j]^e
-    pows = np.empty((emax + 1, used.size, npts), dtype=np.uint64)
+    pows = np.empty((emax + 1, used.size, npts), dtype=dtype)
     pows[0] = 1
     pows[1] = points[:, used].T
     for e in range(2, emax + 1):
@@ -235,17 +255,26 @@ def eval_terms(exps, coeffs, points, p):
         sub = exps[lo : lo + step]
         block = coeffs[lo : lo + step, None]
         for j in range(used.size):
-            block = mulmod_vec(block, pows[sub[:, j], j], p)
+            power = pows[sub[:, j], j]
+            block = block * power if dtype == object else mulmod_vec(block, power, p)
         part = _sum_rows(np.broadcast_to(block, (sub.shape[0], npts)), p)
         acc = part if acc is None else addmod_vec(acc, part, p)
     return acc
+
+
+def _require_word_points(p: int) -> None:
+    if p > 1 << 64:
+        raise InvalidParams(
+            f"modulus {p} exceeds 2^64: random point streams draw uint64 words"
+        )
 
 
 def random_points(seed: int, trial: int, n: int, p: int) -> np.ndarray:
     """One row of n field elements drawn from the counter-based Philox stream
     keyed by the two words (seed, trial).  Identical (seed, trial) always
     yields the same point, independent of evaluation order, and distinct
-    pairs never share a stream."""
+    pairs never share a stream.  Raises InvalidParams for p > 2^64."""
+    _require_word_points(p)
     key = np.array([seed, trial], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.integers(0, p, size=n, dtype=np.uint64)
@@ -257,6 +286,7 @@ def random_point_batch(seed: int, trials: int, n: int, p: int) -> np.ndarray:
     Row t equals ``random_points(seed, t, n, p)``.  One generator serves
     every row: before each draw its state is reset to the fresh state of
     key (seed, t), which is cheaper than building a new generator."""
+    _require_word_points(p)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state

@@ -140,11 +140,12 @@ class Circuit:
     # -- evaluation ----------------------------------------------------
 
     def program(self):
-        """Encoded arrays for the batched kernels (cached)."""
+        """Encoded arrays for the batched kernels (cached).  The payload has
+        the kernels' element dtype, so constants of any prime fit."""
         if self._program is None:
             ng = self.num_gates
             kinds = np.zeros(ng, dtype=np.int8)
-            payload = np.zeros(ng, dtype=np.uint64)
+            payload = np.zeros(ng, dtype=backends.field_dtype(self.field.p))
             offs = np.zeros(ng + 1, dtype=np.int64)
             flat = []
             for i, g in enumerate(self.gates):
@@ -160,22 +161,16 @@ class Circuit:
         return self._program
 
     def eval_table(self, points: np.ndarray) -> np.ndarray:
-        """Values of every gate at each row of ``points`` ((npts, n) uint64).
-        Requires a kernel-capable modulus."""
-        if backends.fast_prime_kind(self.field.p) is None:
-            raise InvalidCircuit(
-                f"modulus {self.field.p} is not kernel-capable; use evaluate()"
-            )
+        """Values of every gate at each row of ``points`` ((npts, n) reduced
+        field elements), as a (gates, npts) table of
+        ``backends.field_dtype(p)``: uint64 words where a word kernel
+        exists, Python ints in an object array for every other prime."""
         kinds, payload, offs, children = self.program()
         return backends.eval_program(kinds, payload, offs, children, points, self.field.p)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Output-gate values at a batch of points."""
-        if backends.fast_prime_kind(self.field.p) is not None:
-            return self.eval_table(points)[self.output]
-        return np.asarray(
-            [self.evaluate([int(x) for x in row]) for row in points], dtype=object
-        )
+        return self.eval_table(points)[self.output]
 
     def evaluate(self, point) -> int:
         """Output value at a single point (pure Python, any prime)."""

@@ -172,33 +172,23 @@ class LayeredCircuit:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_batch(self, points: np.ndarray):
+        """Values at each row of points, of ``backends.field_dtype(p)``."""
         p = self.field.p
+        dtype = backends.field_dtype(p)
+        pw = dtype.type(p)
         pool_vals = [entry.evaluate_batch(points) for entry in self.pool]
         npts = points.shape[0]
-        fast = backends.fast_prime_kind(p) is not None and all(
-            isinstance(v, np.ndarray) and v.dtype == np.uint64 for v in pool_vals
-        )
-        if fast:
-            acc = np.zeros(npts, dtype=np.uint64)
-            for sm in self.products:
-                term = np.full(npts, np.uint64(sm.coeff % p), dtype=np.uint64)
-                for r in sm.factors:
-                    term = backends.mulmod_vec(term, pool_vals[r], np.uint64(p))
-                acc = backends.addmod_vec(acc, term, np.uint64(p))
-            return acc
-        out = []
-        for j in range(npts):
-            tot = 0
-            for sm in self.products:
-                term = sm.coeff % p
-                for r in sm.factors:
-                    term = term * int(pool_vals[r][j]) % p
-                tot = (tot + term) % p
-            out.append(tot)
-        return np.asarray(out, dtype=object)
+        acc = np.zeros(npts, dtype=dtype)
+        for sm in self.products:
+            term = np.full(npts, sm.coeff % p, dtype=dtype)
+            for r in sm.factors:
+                term = backends.mulmod_vec(term, pool_vals[r], pw)
+            acc = backends.addmod_vec(acc, term, pw)
+        return acc
 
     def evaluate(self, point) -> int:
-        pts = np.asarray([[int(x) % self.field.p for x in point]], dtype=np.uint64)
+        p = self.field.p
+        pts = np.asarray([[int(x) % p for x in point]], dtype=backends.field_dtype(p))
         return int(self.evaluate_batch(pts)[0])
 
     # -- exact expansion ----------------------------------------------------

@@ -162,16 +162,9 @@ def eval_quotient(circuit: Circuit, u: int, v: int, point) -> int:
     Runs the four-case recursion with per-gate memoization; plain gate
     values feed the product case.
     """
-    if backends.fast_prime_kind(circuit.field.p) is not None:
-        pts = np.asarray([[int(x) for x in point]], dtype=np.uint64)
-        vals = circuit.eval_table(pts)
-        kinds, payload, offs, children = circuit.program()
-        qvals, _ = backends.eval_quotient_program(
-            kinds, offs, children, v, vals, circuit.field.p
-        )
-        return int(qvals[u, 0])
-    vals = _python_eval_table(circuit, point)
-    return _python_quotient_values(circuit, v, vals)[u]
+    p = circuit.field.p
+    pts = np.asarray([[int(x) % p for x in point]], dtype=backends.field_dtype(p))
+    return int(quotient_values_batch(circuit, v, circuit.eval_table(pts))[u, 0])
 
 
 def quotient_values_batch(circuit: Circuit, v: int, vals: np.ndarray) -> np.ndarray:
@@ -354,56 +347,32 @@ def check_decomposition(
 
     terms = decomposition_terms(circuit, u, m, target=v)
     p = circuit.field.p
-    points = backends.random_point_batch(seed, trials, circuit.n, p)
+    dtype = backends.field_dtype(p)
+    pw = dtype.type(p)
+    vals = circuit.eval_table(backends.random_point_batch(seed, trials, circuit.n, p))
+    qcache = {}
 
-    if backends.fast_prime_kind(p) is not None:
-        pw = np.uint64(p)
-        vals = circuit.eval_table(points)
-        qcache = {}
+    def qrow(target: int) -> np.ndarray:
+        if target not in qcache:
+            qcache[target] = quotient_values_batch(circuit, target, vals)
+        return qcache[target]
 
-        def qrow(target: int) -> np.ndarray:
-            if target not in qcache:
-                qcache[target] = quotient_values_batch(circuit, target, vals)
-            return qcache[target]
-
-        ones = np.ones(trials, dtype=np.uint64)
-        if v is None:
-            lhs = vals[u].copy()
-        else:
-            lhs = qrow(v)[u].copy()
-        rhs = np.zeros(trials, dtype=np.uint64)
-        for t in terms:
-            factor = ones if t.w == u else qrow(t.w)[u]
-            if t.is_mul:
-                gate_w = circuit.gates[t.w]
-                if gate_w.fanin() == 2:
-                    factor = backends.mulmod_vec(factor, vals[gate_w.children[0]], pw)
-            tail = vals[t.z] if v is None else qrow(v)[t.z]
-            rhs = backends.addmod_vec(rhs, backends.mulmod_vec(factor, tail, pw), pw)
-        agree = lhs == rhs
-        failed = [int(i) for i in np.nonzero(~agree)[0]]
+    ones = np.ones(trials, dtype=dtype)
+    if v is None:
+        lhs = vals[u].copy()
     else:
-        failed = []
-        for trial in range(trials):
-            point = [int(x) for x in points[trial]]
-            vals = _python_eval_table(circuit, point)
-            qcache = {}
-
-            def qvalues(target: int) -> list:
-                if target not in qcache:
-                    qcache[target] = _python_quotient_values(circuit, target, vals)
-                return qcache[target]
-
-            lhs = vals[u] if v is None else qvalues(v)[u]
-            rhs = 0
-            for t in terms:
-                fac = 1 if t.w == u else qvalues(t.w)[u]
-                if t.is_mul and circuit.gates[t.w].fanin() == 2:
-                    fac = fac * vals[circuit.gates[t.w].children[0]] % p
-                tail = vals[t.z] if v is None else qvalues(v)[t.z]
-                rhs = (rhs + fac * tail) % p
-            if lhs != rhs:
-                failed.append(trial)
+        lhs = qrow(v)[u].copy()
+    rhs = np.zeros(trials, dtype=dtype)
+    for t in terms:
+        factor = ones if t.w == u else qrow(t.w)[u]
+        if t.is_mul:
+            gate_w = circuit.gates[t.w]
+            if gate_w.fanin() == 2:
+                factor = backends.mulmod_vec(factor, vals[gate_w.children[0]], pw)
+        tail = vals[t.z] if v is None else qrow(v)[t.z]
+        rhs = backends.addmod_vec(rhs, backends.mulmod_vec(factor, tail, pw), pw)
+    agree = lhs == rhs
+    failed = [int(i) for i in np.nonzero(~agree)[0]]
 
     return DecompositionCheck(
         holds=not failed,

@@ -141,21 +141,20 @@ class SparsePolynomial:
         return total
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of points, via the numpy kernels where the modulus
-        allows."""
-        if backends.fast_prime_kind(self.field.p) is None:
-            return np.asarray(
-                [self.evaluate([int(x) for x in row]) for row in points], dtype=object
-            )
+        """Values at each row of points through :func:`backends.eval_terms`,
+        for every prime: uint64 words where a word kernel exists, Python ints
+        in an object array otherwise."""
         exps, coeffs = self.to_term_arrays()
         return backends.eval_terms(exps, coeffs, points, self.field.p)
 
     def to_term_arrays(self):
-        """(terms, n) uint8 exponent matrix plus uint64 coefficients, in
-        canonical term order."""
+        """(terms, n) uint8 exponent matrix plus coefficients of
+        ``backends.field_dtype(p)``, in canonical term order."""
         keys = sorted(self.terms)
         exps = np.array(keys, dtype=np.uint8).reshape(len(keys), self.n)
-        coeffs = np.array([self.terms[e] for e in keys], dtype=np.uint64)
+        coeffs = np.array(
+            [self.terms[e] for e in keys], dtype=backends.field_dtype(self.field.p)
+        )
         return exps, coeffs
 
     # -- serialization -------------------------------------------------------

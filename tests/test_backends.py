@@ -8,12 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circflat import backends
-from circflat.errors import ExpansionTooLarge
+from circflat import (
+    LayeredCircuit,
+    Summand,
+    backends,
+    brute_force_expand,
+    reduce_depth_delta,
+)
+from circflat.errors import ExpansionTooLarge, FieldTooSmall
 from circflat.field import MERSENNE61, FieldSpec
 from circflat.sparse import SparsePolynomial
 
+from conftest import at_prime
+from test_var import circuits
+
 PRIMES = [MERSENNE61, 10007, 2]
+# word kernels at the first four, object arrays of Python ints at the last two
+EVAL_PRIMES = [2, 10007, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57, (1 << 64) - 59]
 
 
 def _random(p, size, seed):
@@ -126,7 +137,7 @@ def _term_batch(p, n, npts, nterms, seed, worst):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.sampled_from([2, 3, 5, 7, 10007, (1 << 31) - 1, MERSENNE61]),
+    p=st.sampled_from([2, 3, 5, 7, 10007, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57]),
     n=st.integers(1, 4),
     npts=st.sampled_from([1, 20, 256]),
     size=st.sampled_from(["none", "one", "few", "chunks"]),
@@ -137,17 +148,48 @@ def _term_batch(p, n, npts, nterms, seed, worst):
 @example(p=MERSENNE61, n=2, npts=20, size="few", seed=3, worst=True)
 @example(p=(1 << 31) - 1, n=2, npts=20, size="chunks", seed=1, worst=True)
 @example(p=MERSENNE61, n=1, npts=20, size="none", seed=2, worst=False)
+@example(p=(1 << 62) - 57, n=3, npts=20, size="chunks", seed=4, worst=True)
 def test_eval_terms_matches_sparse_evaluate(p, n, npts, size, seed, worst):
     chunk = max(1, backends.TERM_BLOCK // npts)
     nterms = {"none": 0, "one": 1, "few": 9, "chunks": 2 * chunk + 3}[size]
     exps, coeffs, points = _term_batch(p, n, npts, nterms, seed, worst)
     got = backends.eval_terms(exps, coeffs, points, p)
-    assert got.dtype == np.uint64 and got.shape == (npts,)
+    assert got.dtype == backends.field_dtype(p) and got.shape == (npts,)
     terms = {}
     for e, c in zip(map(tuple, exps.tolist()), coeffs.tolist()):
         terms[e] = (terms.get(e, 0) + c) % p
     oracle = SparsePolynomial(n, FieldSpec(p), terms)
     assert got.tolist() == [oracle.evaluate(pt) for pt in points.tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits(), st.sampled_from(EVAL_PRIMES), st.integers(0, 1 << 16))
+def test_batch_evaluators_match_per_point_property(c, p, seed):
+    """Circuit, sparse and layered batch evaluation equal the per-point
+    Python evaluators at every prime, on uint64 words or on object arrays.
+    The last point has every coordinate p - 1."""
+    c = at_prime(c, p)
+    top = np.full((1, c.n), p - 1, dtype=np.uint64)
+    points = np.vstack([backends.random_point_batch(seed, 3, c.n, p), top])
+    rows = points.tolist()
+    want = [c.evaluate(pt) for pt in rows]
+    dtype = backends.field_dtype(p)
+
+    def check(got):
+        assert got.dtype == dtype and got.tolist() == want
+
+    check(c.evaluate_batch(points))
+    poly = brute_force_expand(c, budget=1 << 16)
+    assert [poly.evaluate(pt) for pt in rows] == want
+    check(poly.evaluate_batch(points))
+    zero = SparsePolynomial.zero(c.n, c.field)
+    products = [Summand(1, 3, (0, 1)), Summand(1, 1, (1,)), Summand(1, 2, (0,))]
+    check(LayeredCircuit(c.n, c.field, 2, [zero, poly], products).evaluate_batch(points))
+    try:
+        layered, _ = reduce_depth_delta(c, 2)
+    except FieldTooSmall:
+        return  # balance interpolates at k + 1 distinct points; p <= k
+    check(layered.evaluate_batch(points))
 
 
 def test_random_points_deterministic():

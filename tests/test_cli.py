@@ -84,6 +84,16 @@ def test_verify_randomized_path(tmp_path, pos_file):
     assert run(["verify", pos_file, other, "--exact-budget", "1", "--trials", "10"]) == 0
 
 
+def test_verify_randomized_path_above_point_streams(pos_file, capsys):
+    # random points are uint64 words: 2^64 - 59 is served, 2^89 - 1 is not
+    args = ["verify", pos_file, pos_file, "--exact-budget", "1"]
+    assert run(["--prime", (1 << 64) - 59] + args) == 0
+    capsys.readouterr()
+    assert run(["--prime", (1 << 89) - 1] + args) == 2
+    err = capsys.readouterr().err
+    assert "2^64" in err and "Traceback" not in err
+
+
 def test_gen_deterministic(tmp_path):
     a = tmp_path / "a.ckt"
     b = tmp_path / "b.ckt"

@@ -364,3 +364,13 @@ def test_layered_zero_pool_entry_stays_on_uint64(field):
     got = layered.evaluate_batch(pts)
     assert got.dtype == np.uint64
     assert [int(v) for v in got] == [poly.evaluate(pt) for pt in pts.tolist()]
+
+
+def test_layered_evaluate_above_word_primes():
+    from circflat.field import FieldSpec
+
+    c = random_multilinear(30, 5, seed=0, field=FieldSpec((1 << 89) - 1))
+    layered, _ = reduce_depth_delta(c, 2)
+    point = [(1 << 88) + 977 * i + 5 for i in range(c.n)]
+    assert layered.evaluate(point) == layered.flatten().evaluate(point)
+    assert layered.evaluate(point) == c.evaluate(point)

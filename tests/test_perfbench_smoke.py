@@ -1,5 +1,5 @@
-"""One short pass of the pipeline benchmark, so that a change breaking its
-equivalence, oracle or digest checks fails the test suite."""
+"""One short pass of the pipeline benchmark per workload, so that a change
+breaking its equivalence, oracle or digest checks fails the test suite."""
 
 import json
 import subprocess
@@ -9,13 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_depth_sweep_pass_is_correct():
+def _run_one_pass(workload):
     proc = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
             "--workload",
-            "depth_sweep",
+            workload,
             "--seed",
             "0",
             "--seconds",
@@ -32,3 +32,12 @@ def test_depth_sweep_pass_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_depth_sweep_pass_is_correct():
+    _run_one_pass("depth_sweep")
+
+
+def test_verify_heavy_pass_is_correct():
+    # the only workload that runs random_equiv at 2^62 - 57 with its checks
+    _run_one_pass("verify_heavy")

@@ -20,6 +20,7 @@ from circflat import (
 from circflat.backends import random_point_batch
 from circflat.circuit import add_gate, input_gate, mul_gate
 from circflat.errors import PreconditionViolated
+from circflat.field import FieldSpec
 from circflat.generators import random_multilinear
 from circflat.normalize import normalized
 from circflat.quotient import (
@@ -353,7 +354,7 @@ def test_decomposition_terms_skip_dead_edges():
 @settings(max_examples=60, deadline=None)
 @given(
     circuits(),
-    st.sampled_from((2, 3, 5, 7, 10007, (1 << 31) - 1, (1 << 61) - 1)),
+    st.sampled_from((2, 3, 5, 7, 10007, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57)),
     st.integers(0, 1 << 16),
 )
 def test_quotient_kernel_matches_python_property(c, p, seed):
@@ -369,3 +370,62 @@ def test_quotient_kernel_matches_python_property(c, p, seed):
             [_python_quotient_values(c, v, row) for row in rows], dtype=np.uint64
         ).T
         assert np.array_equal(kernel, python), v
+
+
+P62 = (1 << 62) - 57
+
+
+def _python_failed_trials(c, u, v, m, trials, seed):
+    """check_decomposition's failing trials, recomputed one point at a time
+    from the plain-Python gate and quotient tables."""
+    p = c.field.p
+    failed = []
+    for trial, point in enumerate(random_point_batch(seed, trials, c.n, p).tolist()):
+        vals = _python_eval_table(c, point)
+
+        def q(target):
+            return _python_quotient_values(c, target, vals)
+
+        lhs = vals[u] if v is None else q(v)[u]
+        rhs = 0
+        for t in decomposition_terms(c, u, m, target=v):
+            fac = 1 if t.w == u else q(t.w)[u]
+            if t.is_mul and c.gates[t.w].fanin() == 2:
+                fac = fac * vals[c.gates[t.w].children[0]] % p
+            tail = vals[t.z] if v is None else q(v)[t.z]
+            rhs = (rhs + fac * tail) % p
+        if lhs != rhs:
+            failed.append(trial)
+    return failed
+
+
+def test_quotients_at_object_prime_match_python():
+    """At 2^62 - 57 the kernels run on object arrays: eval_quotient and
+    check_decomposition agree with the plain-Python tables, also where every
+    coordinate is p - 1 and where the checker reports failing trials."""
+    rng = random.Random(11)
+    c = normalized(random_multilinear(40, 6, seed=2, field=FieldSpec(P62)))
+    for point in ([rng.randrange(P62) for _ in range(c.n)], [P62 - 1] * c.n):
+        vals = _python_eval_table(c, point)
+        for v in range(0, c.num_gates, 3):
+            q = _python_quotient_values(c, v, vals)
+            for u in range(v, c.num_gates, 4):
+                assert eval_quotient(c, u, v, point) == q[u], (u, v)
+
+    var = compute_var(c)
+    u = c.output
+    triples = [(None, 2), (None, var.total(u))]
+    for v in range(c.num_gates):
+        qt = quotient_table(c, v)
+        if v != u and qt.reachable[u] and var.total(v) < qt.total(u):
+            triples.append((v, qt.total(u)))
+            break
+    assert len(triples) == 3
+    for v, m in triples:
+        chk = check_decomposition(c, u, v, m, trials=8, seed=m)
+        assert chk.holds and not _python_failed_trials(c, u, v, m, 8, m)
+
+    bad = at_prime(build(2, [input_gate(1), input_gate(2), mul_gate((0, 1))]), P62)
+    chk = check_decomposition(bad, 2, None, 1, trials=10, seed=0)
+    assert chk.failed_trials
+    assert chk.failed_trials == _python_failed_trials(bad, 2, None, 1, 10, 0)

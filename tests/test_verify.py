@@ -2,6 +2,7 @@
 randomized equivalence, structural reports and bound ratios."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from circflat import (
     enumerate_proof_trees,
     proof_tree_sum,
     random_equiv,
+    reduce_depth_delta,
     structural_report,
 )
 from circflat.circuit import Circuit, Gate, add_gate, const_gate, input_gate, mul_gate
@@ -177,6 +179,34 @@ def test_random_equiv_detects_const_mutation(field):
     a, b = res.values
     assert c.evaluate(res.witness) == a
     assert mutated.evaluate(res.witness) == b
+
+
+def test_random_equiv_golden_witness_at_object_prime():
+    """A constant mutation at 2^62 - 57, whose points run through the object
+    arrays: the witness and both values are pinned, and the result's JSON
+    holds plain ints."""
+    field = FieldSpec((1 << 62) - 57)
+    c = random_multilinear(40, 8, seed=3, field=field)
+    gid = next(i for i, g in enumerate(c.gates) if g.kind == "const")
+    gates = list(c.gates)
+    gates[gid] = Gate("const", value=(gates[gid].value + 1) % field.p)
+    mutated = Circuit(c.n, gates, c.output, field=field)
+    layered, _ = reduce_depth_delta(c, 2)
+    res = random_equiv(layered, mutated, 20, 0)
+    assert res.verdict == "not_equivalent"
+    assert res.witness == [
+        53250005300491814,
+        1113949052550656350,
+        513861059969551255,
+        2602903019061603606,
+        2316816996971209172,
+        1280229757555965415,
+        4365165080878258487,
+        4547427921151202742,
+    ]
+    assert res.values == (4078407955722324183, 1204549950391833270)
+    data = res.to_json_dict()
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_random_equiv_symmetry(field):
