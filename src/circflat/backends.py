@@ -5,11 +5,10 @@ Word arithmetic on uint64 arrays is available for two families of primes:
 the Mersenne prime 2^61 - 1 (products are reduced with shift/mask folding,
 no 128-bit intermediate needed) and any prime below 2^31 (products fit a
 64-bit word directly).  For every other prime the evaluation kernels
-(:func:`eval_program`, :func:`eval_quotient_program`, :func:`eval_terms`)
-run the same code on object arrays of Python ints, whose products never
-overflow; :func:`field_dtype` picks the dtype from the prime.  The packed
-merge and multiply stay uint64-only, and balance keeps its own row-wise
-Python path for those primes.
+(:func:`eval_program`, :func:`eval_terms`) run the same code on object
+arrays of Python ints, whose products never overflow; :func:`field_dtype`
+picks the dtype from the prime.  The packed merge and multiply stay
+uint64-only.
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
@@ -48,22 +47,13 @@ def active_backend() -> str:
     return "numpy"
 
 
-def fast_prime_kind(p: int):
-    """'mersenne61', 'small' (p < 2^31) or None when no uint64 word kernel
-    serves this modulus: the evaluation kernels then work on object arrays,
-    and the packed expansion and balance use Python-int paths."""
-    if p == int(MERSENNE61):
-        return "mersenne61"
-    if p < (1 << 31):
-        return "small"
-    return None
-
-
 def field_dtype(p: int) -> np.dtype:
     """Element dtype of the evaluation kernels' arrays at prime p: uint64
-    where :func:`fast_prime_kind` names a word kernel, else object (Python
-    ints).  ``field_dtype(p).type(p)`` is the modulus as a matching scalar."""
-    return np.dtype(np.uint64 if fast_prime_kind(int(p)) else object)
+    for the word kernels (2^61 - 1 and primes below 2^31), else object
+    (Python ints).  ``field_dtype(p).type(p)`` is the modulus as a matching
+    scalar."""
+    p = int(p)
+    return np.dtype(np.uint64 if p == int(MERSENNE61) or p < (1 << 31) else object)
 
 
 def mulmod_vec(a, b, p):
@@ -126,47 +116,6 @@ def eval_program(kinds, payload, child_off, children, points, p):
                     acc = mulmod_vec(acc, vals[children[idx]], p)
             vals[g] = acc
     return vals
-
-
-def eval_quotient_program(kinds, child_off, children, target, vals, p):
-    """Gate-quotient values [g : target] for every gate g, given the plain
-    value table ``vals`` from :func:`eval_program`.
-
-    Also returns the per-gate reachability mask of the quotient recursion
-    (snipping descends into the last child of every product gate).  Every
-    child id is below its parent's, so no gate below the target can reach
-    it: the sweep starts at the target and leaves those rows zero.
-    """
-    p = vals.dtype.type(int(p))
-    ngates, npts = vals.shape
-    qvals = np.zeros((ngates, npts), dtype=vals.dtype)
-    reach = np.zeros(ngates, dtype=np.bool_)
-    reach[target] = True
-    qvals[target, :] = 1
-    for g in range(target + 1, ngates):
-        k = kinds[g]
-        if k == KIND_ADD:
-            lo = int(child_off[g])
-            hi = int(child_off[g + 1])
-            acc = None
-            for idx in range(lo, hi):
-                c = children[idx]
-                if reach[c]:
-                    reach[g] = True
-                    acc = qvals[c] if acc is None else addmod_vec(acc, qvals[c], p)
-            if acc is not None:
-                qvals[g] = acc
-        elif k == KIND_MUL:
-            lo = int(child_off[g])
-            hi = int(child_off[g + 1])
-            last = children[hi - 1]
-            if reach[last]:
-                reach[g] = True
-                acc = qvals[last].copy()
-                for idx in range(lo, hi - 1):
-                    acc = mulmod_vec(acc, vals[children[idx]], p)
-                qvals[g] = acc
-    return qvals, reach
 
 
 def _join_halves(shi, slo, p):

@@ -23,9 +23,11 @@ Keys of potential <= 1 bottom out: they depend on at most one variable, so
 the polynomial is recovered exactly by interpolation at k + 1 points and
 materialized directly.  Every base key reads the same axis grid, the origin
 plus x_i = 1..k on each axis (n*k + 1 points), which is evaluated once per
-balance call; each quotient target [.:v] is swept over it once, and only
-the rows of its base keys are kept.  Only keys actually demanded by the
-output's recursion are built, and each key is built once.
+balance call.  Each quotient target [.:v] is swept once, in plain Python,
+over only the grid rows its base keys read (the origin plus the axis rows
+of each base gate's live variable), and only the base gates' values are
+kept.  Only keys actually demanded by the output's recursion are built,
+and each key is built once.
 
 Two threshold details matter.  The plain identity is used with
 m = max(2, ceil(t/2)): at m = 1 a proof-tree whose rightmost path ends in
@@ -34,25 +36,18 @@ would miss it.  The quotient identity has no such hole (the snipped leaf
 sits at quotient potential 0) and uses m = ceil(t/2) as is.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Tuple
 
 import numpy as np
 
-from . import backends
 from .analysis import compute_var, inferred_k, live_variable
 from .circuit import ADD, CONST, INPUT, MUL, Circuit, Gate, require_valid
 from .errors import FieldTooSmall, InvalidCircuit
 from .field import lagrange_interpolate
-from .quotient import (
-    _python_eval_table,
-    _python_quotient_values,
-    decomposition_terms,
-    quotient_table,
-    quotient_values_batch,
-)
+from .quotient import decomposition_terms, quotient_table, quotient_values_batch
 
 NodeKey = Tuple
 
@@ -213,18 +208,15 @@ class _Balancer:
         self.out = _Builder(circuit.n, circuit.field)
         self.memo: Dict[NodeKey, int] = {}
         self.base_case_count = 0
-        self._fast = backends.fast_prime_kind(circuit.field.p) is not None
         # The axis grid every base key reads: the origin, then x_i = 1..k
         # on each axis i in turn (row 1 + i*k + x - 1).
         n, k = circuit.n, self.k
         self._grid = np.zeros((n * k + 1, n), dtype=np.uint64)
         for i in range(n):
             self._grid[1 + i * k : 1 + (i + 1) * k, i] = np.arange(1, k + 1)
-        # Sweeps over the grid, each run once per balance call: keyed by
-        # quotient target (None for plain values) on the kernels, by
-        # (grid row, target) on the Python path.
-        self._sweeps: Dict = {}
-        self._base_gates_of: Dict[int, list] = {}
+        self._plain = None  # plain gate values, one list per grid row
+        # per quotient target: base gate u -> [u:target] at the rows u reads
+        self._sweeps: Dict[int, Dict[int, list]] = {}
 
     # -- potentials ------------------------------------------------------
 
@@ -236,64 +228,50 @@ class _Balancer:
 
     # -- base-case evaluation ---------------------------------------------
 
-    def _base_gates(self, target: int) -> list:
-        """Gates u, ascending, whose key [u:target] is a base case (quotient
-        potential <= 1).  A cached quotient sweep keeps only their rows:
-        whole sweeps, one per target, would grow quadratically with the
-        circuit."""
-        if target not in self._base_gates_of:
-            totals = quotient_table(self.c, target).totals
-            self._base_gates_of[target] = [
-                u
-                for u in range(target, self.c.num_gates)
-                if totals[u] is not None and totals[u] <= 1
-            ]
-        return self._base_gates_of[target]
+    def _rows(self, vec) -> list:
+        """Grid rows a base key of potential vector vec reads: the origin,
+        plus the k axis rows of its live variable if it has one."""
+        if sum(vec) == 0:
+            return [0]
+        i = live_variable(vec)
+        return [0] + list(range(1 + i * self.k, 1 + (i + 1) * self.k))
 
-    def _table(self, target):
-        """Kernel path: plain values of every gate (target None), or
-        [u:target] values of the base gates u, at every grid point."""
+    def _plain_rows(self) -> list:
+        """Every gate's value at every grid row, from one evaluation."""
+        if self._plain is None:
+            self._plain = self.c.eval_table(self._grid).T.tolist()
+        return self._plain
+
+    def _sweep(self, target: int) -> Dict[int, list]:
+        """[u:target] for every base gate u (quotient potential <= 1) at the
+        rows u reads.  The quotient recursion runs once, over the union of
+        those rows; only the base gates' values are kept, since whole
+        sweeps, one per target, would grow quadratically with the circuit."""
         if target not in self._sweeps:
-            if target is None:
-                table = self.c.eval_table(self._grid)
-            else:
-                q = quotient_values_batch(self.c, target, self._table(None))
-                table = q[self._base_gates(target)]
-            self._sweeps[target] = table
+            qt = quotient_table(self.c, target)
+            reached = compress(range(self.c.num_gates), qt.reachable)
+            rows_of = {u: self._rows(qt.vector(u)) for u in reached if qt.totals[u] <= 1}
+            rows = sorted(set().union(*rows_of.values()))
+            plain = self._plain_rows()
+            sweeps = quotient_values_batch(self.c, target, [plain[r] for r in rows])
+            q = dict(zip(rows, sweeps))
+            self._sweeps[target] = {
+                u: [q[r][u] for r in u_rows] for u, u_rows in rows_of.items()
+            }
         return self._sweeps[target]
-
-    def _row(self, r: int, target):
-        """Python path: the same values at grid row r alone."""
-        if (r, target) not in self._sweeps:
-            if target is None:
-                vals = _python_eval_table(self.c, [int(x) for x in self._grid[r]])
-            else:
-                q = _python_quotient_values(self.c, target, self._row(r, None))
-                vals = [q[u] for u in self._base_gates(target)]
-            self._sweeps[(r, target)] = vals
-        return self._sweeps[(r, target)]
-
-    def _eval_key(self, key: NodeKey, rows):
-        """Values of the key's polynomial at the given grid rows."""
-        if key[0] == "plain":
-            target, i = None, key[1]
-        else:
-            target = key[2]
-            i = bisect.bisect_left(self._base_gates(target), key[1])
-        if self._fast:
-            return [int(x) for x in self._table(target)[i, rows]]
-        return [self._row(r, target)[i] for r in rows]
 
     def base_node(self, key: NodeKey) -> int:
         vec = self.potential_vector(key)
         self.base_case_count += 1
+        if key[0] == "plain":
+            plain = self._plain_rows()
+            ys = [plain[r][key[1]] for r in self._rows(vec)]
+        else:
+            ys = self._sweep(key[2])[key[1]]
         if sum(vec) == 0:
-            return self.out.const(self._eval_key(key, [0])[0])
+            return self.out.const(ys[0])
         i = live_variable(vec)
-        xs = list(range(self.k + 1))
-        rows = [0] + list(range(1 + i * self.k, 1 + (i + 1) * self.k))
-        ys = self._eval_key(key, rows)
-        coeffs = lagrange_interpolate(xs, ys, self.c.field)
+        coeffs = lagrange_interpolate(list(range(self.k + 1)), ys, self.c.field)
         terms = []
         for j, cj in enumerate(coeffs):
             if cj == 0:

@@ -172,8 +172,9 @@ class Circuit:
         """Output-gate values at a batch of points."""
         return self.eval_table(points)[self.output]
 
-    def evaluate(self, point) -> int:
-        """Output value at a single point (pure Python, any prime)."""
+    def gate_values(self, point) -> list:
+        """Values of every gate at a single point, as Python ints, by one
+        plain-Python forward sweep (any prime, independent of the kernels)."""
         p = self.field.p
         vals = [0] * self.num_gates
         for i, g in enumerate(self.gates):
@@ -191,7 +192,11 @@ class Circuit:
                 for c in g.children:
                     acc = acc * vals[c] % p
                 vals[i] = acc
-        return vals[self.output]
+        return vals
+
+    def evaluate(self, point) -> int:
+        """Output value at a single point (pure Python, any prime)."""
+        return self.gate_values(point)[self.output]
 
     # -- serialization -------------------------------------------------
 

@@ -34,7 +34,6 @@ from .circuit import ADD, CONST, MUL, Circuit, Gate
 from .errors import ExpansionTooLarge, InvalidParams, NotBalanced
 from .expand import DEFAULT_BUDGET, CircuitExpander, _packed_mul_chunked
 from .normalize import normalized
-from .quotient import _python_eval_table
 from .sparse import PackSpec, SparsePolynomial, pack_poly, unpack_poly
 
 DEFAULT_MAX_PRODUCTS = 1 << 18
@@ -213,7 +212,7 @@ class LayeredCircuit:
         if est > budget:
             raise ExpansionTooLarge(f"layered expansion bound {est} exceeds {budget}")
         spec = PackSpec(bounds)
-        if backends.fast_prime_kind(f.p) is not None and spec.fits():
+        if backends.field_dtype(f.p) == np.uint64 and spec.fits():
             packed = {}
             acc_k = np.empty(0, dtype=np.uint64)
             acc_c = np.empty(0, dtype=np.uint64)
@@ -364,7 +363,7 @@ def _zero_values(circuit: Circuit) -> list:
     equals its constant polynomial."""
     cached = circuit.__dict__.get("_zero_values")
     if cached is None:
-        cached = _python_eval_table(circuit, [0] * circuit.n)
+        cached = circuit.gate_values([0] * circuit.n)
         circuit.__dict__["_zero_values"] = cached
     return cached
 

@@ -69,7 +69,7 @@ class CircuitExpander:
         out_vec = self.var.vector(circuit.output)
         self.spec = PackSpec(out_vec)
         self.packed_ok = (
-            backends.fast_prime_kind(circuit.field.p) is not None and self.spec.fits()
+            backends.field_dtype(circuit.field.p) == np.uint64 and self.spec.fits()
         )
         self._packed: Dict[int, tuple] = {}
         self._polys: Dict[int, SparsePolynomial] = {}

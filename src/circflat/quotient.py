@@ -47,13 +47,14 @@ by the callers in this package:
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import backends
 from .analysis import VarVector, compute_var, vec_add, vec_max
-from .circuit import ADD, CONST, INPUT, MUL, Circuit, require_valid
+from .circuit import ADD, MUL, Circuit, require_valid
 from .errors import InvalidCircuit, PreconditionViolated
 
 
@@ -122,58 +123,42 @@ def quotient_table(circuit: Circuit, v: int) -> QuotientTable:
 # ---------------------------------------------------------------------------
 
 
-def _python_eval_table(circuit: Circuit, point) -> list:
-    p = circuit.field.p
-    vals = [0] * circuit.num_gates
-    for i, g in enumerate(circuit.gates):
-        if g.kind == INPUT:
-            vals[i] = int(point[g.var - 1]) % p
-        elif g.kind == CONST:
-            vals[i] = g.value
-        elif g.kind == ADD:
-            vals[i] = sum(vals[c] for c in g.children) % p
-        else:
-            acc = 1
-            for c in g.children:
-                acc = acc * vals[c] % p
-            vals[i] = acc
-    return vals
+def quotient_values_batch(circuit: Circuit, v: int, columns) -> list:
+    """[g:v] for every gate g at each point of ``columns``, which holds one
+    list of plain gate values per point (as from ``Circuit.gate_values``).
 
-
-def _python_quotient_values(circuit: Circuit, v: int, vals: list) -> list:
+    Runs the four-case recursion in plain Python, one pass per point over
+    the gates quotient-reachable from v; every other gate's quotient is
+    zero.  Callers sweep a few points at a time, where a Python pass costs
+    less than the fixed cost of a numpy call per gate.
+    """
     p = circuit.field.p
-    q = [0] * circuit.num_gates
-    q[v] = 1
-    for g in range(v + 1, circuit.num_gates):
-        gate = circuit.gates[g]
-        if gate.kind == ADD:
-            q[g] = sum(q[c] for c in gate.children) % p
-        elif gate.kind == MUL:
-            acc = q[gate.children[-1]]
-            for c in gate.children[:-1]:
-                acc = acc * vals[c] % p
-            q[g] = acc
-    return q
+    gates = circuit.gates
+    reachable = quotient_table(circuit, v).reachable
+    order = list(compress(range(v + 1, len(gates)), reachable[v + 1 :]))
+    out = []
+    for vals in columns:
+        q = [0] * len(gates)
+        q[v] = 1
+        for g in order:
+            gate = gates[g]
+            if gate.kind == ADD:
+                acc = 0
+                for c in gate.children:
+                    acc += q[c]
+                q[g] = acc % p
+            else:
+                acc = q[gate.children[-1]]
+                for c in gate.children[:-1]:
+                    acc = acc * vals[c] % p
+                q[g] = acc
+        out.append(q)
+    return out
 
 
 def eval_quotient(circuit: Circuit, u: int, v: int, point) -> int:
-    """Value of the polynomial [u:v] at a point.
-
-    Runs the four-case recursion with per-gate memoization; plain gate
-    values feed the product case.
-    """
-    p = circuit.field.p
-    pts = np.asarray([[int(x) % p for x in point]], dtype=backends.field_dtype(p))
-    return int(quotient_values_batch(circuit, v, circuit.eval_table(pts))[u, 0])
-
-
-def quotient_values_batch(circuit: Circuit, v: int, vals: np.ndarray) -> np.ndarray:
-    """[g:v] for every gate at every point column of ``vals``."""
-    kinds, payload, offs, children = circuit.program()
-    qvals, _ = backends.eval_quotient_program(
-        kinds, offs, children, v, vals, circuit.field.p
-    )
-    return qvals
+    """Value of the polynomial [u:v] at a point."""
+    return quotient_values_batch(circuit, v, [circuit.gate_values(point)])[0][u]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +335,13 @@ def check_decomposition(
     dtype = backends.field_dtype(p)
     pw = dtype.type(p)
     vals = circuit.eval_table(backends.random_point_batch(seed, trials, circuit.n, p))
+    columns = vals.T.tolist()
     qcache = {}
 
     def qrow(target: int) -> np.ndarray:
         if target not in qcache:
-            qcache[target] = quotient_values_batch(circuit, target, vals)
+            q = quotient_values_batch(circuit, target, columns)
+            qcache[target] = np.array(q, dtype=dtype).T
         return qcache[target]
 
     ones = np.ones(trials, dtype=dtype)

@@ -80,31 +80,9 @@ def test_eval_program_matches_python(field):
     points = backends.random_point_batch(11, 8, c.n, field.p)
     table = c.eval_table(points)
     # reference: per-point pure-Python evaluation of every gate
-    from circflat.quotient import _python_eval_table
-
     for j in range(8):
-        ref = _python_eval_table(c, [int(x) for x in points[j]])
+        ref = c.gate_values([int(x) for x in points[j]])
         assert [int(v) for v in table[:, j]] == ref
-
-
-def test_quotient_program_matches_python(field):
-    from circflat.generators import random_multilinear
-    from circflat.normalize import normalized
-    from circflat.quotient import (
-        _python_eval_table,
-        _python_quotient_values,
-        quotient_values_batch,
-    )
-
-    c = normalized(random_multilinear(40, 6, seed=4, field=field))
-    points = backends.random_point_batch(13, 5, c.n, field.p)
-    vals = c.eval_table(points)
-    for v in range(0, c.num_gates, 7):
-        q = quotient_values_batch(c, v, vals)
-        for j in range(5):
-            ref_vals = _python_eval_table(c, [int(x) for x in points[j]])
-            ref_q = _python_quotient_values(c, v, ref_vals)
-            assert [int(x) for x in q[:, j]] == ref_q
 
 
 def test_eval_terms():

@@ -1,6 +1,7 @@
 """The balancing pass: structure of the output, exactness, determinism."""
 
 import hashlib
+import importlib
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,9 @@ from test_var import circuits
 M61 = (1 << 61) - 1
 M31 = (1 << 31) - 1
 P62 = (1 << 62) - 57
+
+# the package rebinds the name circflat.balance to the function
+balance_module = importlib.import_module("circflat.balance")
 
 
 def right_comb(n, field=None):
@@ -281,18 +285,18 @@ def test_balance_evaluates_once_and_sweeps_each_target_once(monkeypatch):
     evals = []
     targets = []
     eval_program = backends.eval_program
-    eval_quotient_program = backends.eval_quotient_program
+    quotient_values_batch = balance_module.quotient_values_batch
 
     def spy_eval(kinds, payload, child_off, children, points, p):
         evals.append(points.shape)
         return eval_program(kinds, payload, child_off, children, points, p)
 
-    def spy_quotient(kinds, child_off, children, target, vals, p):
+    def spy_quotient(circuit, target, columns):
         targets.append(target)
-        return eval_quotient_program(kinds, child_off, children, target, vals, p)
+        return quotient_values_batch(circuit, target, columns)
 
     monkeypatch.setattr(backends, "eval_program", spy_eval)
-    monkeypatch.setattr(backends, "eval_quotient_program", spy_quotient)
+    monkeypatch.setattr(balance_module, "quotient_values_batch", spy_quotient)
     balance(c)
     # one sweep over the whole axis grid: the origin plus x_i = 1..k per axis
     assert evals == [(c.n * max(inferred_k(c), 1) + 1, c.n)]
@@ -317,6 +321,10 @@ GOLDEN = [
     (
         lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(M61)),
         "3002658db1d30dcca0e4a84d13d03d46d7e112231c7add25b22f3f6b4d0fde6b",
+    ),
+    (
+        lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(M31)),
+        "187b12663d438a71dec74dd44b5698b23a681e92fd0d8d6294f0907d83fe3817",
     ),
     (
         lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)),

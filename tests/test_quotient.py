@@ -3,7 +3,6 @@ identities, cross-checked against snipped proof-tree enumeration."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +22,7 @@ from circflat.errors import PreconditionViolated
 from circflat.field import FieldSpec
 from circflat.generators import random_multilinear
 from circflat.normalize import normalized
-from circflat.quotient import (
-    _python_eval_table,
-    _python_quotient_values,
-    decomposition_terms,
-    quotient_values_batch,
-)
+from circflat.quotient import decomposition_terms, quotient_values_batch
 from circflat.verify import enumerate_proof_trees_with_paths
 
 from conftest import at_prime, build, pos22
@@ -80,9 +74,11 @@ def test_eval_quotient_sum_of_products():
     assert poly.terms == {(1, 0, 0): 1, (0, 1, 0): 1}
 
 
-def test_quotient_semantics_match_snipped_trees(field):
+@pytest.mark.parametrize("p", ((1 << 61) - 1, (1 << 31) - 1, (1 << 62) - 57))
+def test_quotient_semantics_match_snipped_trees(p):
     """eval_quotient equals the sum over enumerated snipped proof-trees, at
     random points and monomial-for-monomial on small circuits."""
+    field = FieldSpec(p)
     rng = random.Random(5)
     for seed in range(4):
         c = normalized(random_multilinear(24, 5, seed=seed, field=field))
@@ -357,19 +353,18 @@ def test_decomposition_terms_skip_dead_edges():
     st.sampled_from((2, 3, 5, 7, 10007, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57)),
     st.integers(0, 1 << 16),
 )
-def test_quotient_kernel_matches_python_property(c, p, seed):
-    """The kernel sweep and the Python sweep agree on [g:v] for every gate g
-    and every target v, at random points."""
+def test_quotient_values_match_snipped_trees_property(c, p, seed):
+    """The quotient sweep gives [u:v] for every gate u and every target v as
+    the sum over enumerated v-snipped proof-trees, at random points."""
     c = at_prime(c, p)
-    points = random_point_batch(seed, 3, c.n, p)
-    vals = c.eval_table(points)
-    rows = [_python_eval_table(c, [int(x) for x in pt]) for pt in points]
+    points = random_point_batch(seed, 3, c.n, p).tolist()
+    columns = [c.gate_values(pt) for pt in points]
     for v in range(c.num_gates):
-        kernel = quotient_values_batch(c, v, vals)
-        python = np.array(
-            [_python_quotient_values(c, v, row) for row in rows], dtype=np.uint64
-        ).T
-        assert np.array_equal(kernel, python), v
+        sweeps = quotient_values_batch(c, v, columns)
+        for u in range(c.num_gates):
+            poly = proof_tree_sum(c, u, snip=v)
+            for q, pt in zip(sweeps, points):
+                assert q[u] == poly.evaluate(pt), (u, v)
 
 
 P62 = (1 << 62) - 57
@@ -381,10 +376,10 @@ def _python_failed_trials(c, u, v, m, trials, seed):
     p = c.field.p
     failed = []
     for trial, point in enumerate(random_point_batch(seed, trials, c.n, p).tolist()):
-        vals = _python_eval_table(c, point)
+        vals = c.gate_values(point)
 
         def q(target):
-            return _python_quotient_values(c, target, vals)
+            return quotient_values_batch(c, target, [vals])[0]
 
         lhs = vals[u] if v is None else q(v)[u]
         rhs = 0
@@ -400,17 +395,18 @@ def _python_failed_trials(c, u, v, m, trials, seed):
 
 
 def test_quotients_at_object_prime_match_python():
-    """At 2^62 - 57 the kernels run on object arrays: eval_quotient and
-    check_decomposition agree with the plain-Python tables, also where every
-    coordinate is p - 1 and where the checker reports failing trials."""
+    """At 2^62 - 57, where the kernels run on object arrays: eval_quotient
+    agrees with snipped proof-tree sums and check_decomposition with a
+    per-point Python recomputation, also where every coordinate is p - 1
+    and where the checker reports failing trials."""
     rng = random.Random(11)
     c = normalized(random_multilinear(40, 6, seed=2, field=FieldSpec(P62)))
-    for point in ([rng.randrange(P62) for _ in range(c.n)], [P62 - 1] * c.n):
-        vals = _python_eval_table(c, point)
-        for v in range(0, c.num_gates, 3):
-            q = _python_quotient_values(c, v, vals)
-            for u in range(v, c.num_gates, 4):
-                assert eval_quotient(c, u, v, point) == q[u], (u, v)
+    points = ([rng.randrange(P62) for _ in range(c.n)], [P62 - 1] * c.n)
+    for v in range(0, c.num_gates, 3):
+        for u in range(v, c.num_gates, 4):
+            poly = proof_tree_sum(c, u, snip=v)
+            for point in points:
+                assert eval_quotient(c, u, v, point) == poly.evaluate(point), (u, v)
 
     var = compute_var(c)
     u = c.output
