@@ -7,6 +7,15 @@ the value of a gate is the sum of the values of all proof-trees rooted at
 it.  Cross-checking the two on small circuits validates both; randomized
 evaluation at points of a large prime field covers everything bigger.
 
+Structural reports are cheap scans.  Where the output's expansion fits the
+report's budget, the exact degree comes from a certificate, not an
+expansion: one forward sweep carries each gate's formal degree D and the
+leading coefficient of its value along the line lambda * a through a fixed
+seeded point a (see :func:`_certified_degree`).  A nonzero coefficient
+proves the degree is exactly D.  When it is zero (cancellation, the zero
+polynomial or an unlucky point), the report falls back to
+:func:`circflat.expand.brute_force_expand`.
+
 The enumerator carries each tree's exponent vector as one packed Python
 int, so a product adds keys instead of zipping tuples.  Its bit layout is
 its own (see :class:`_TreeEnumerator`); it does not use the oracle's
@@ -260,6 +269,13 @@ def random_equiv(a, b, trials: int = 20, seed: int = 0) -> EquivResult:
 
 @dataclass
 class StructuralReport:
+    """Size, gate counts, depths, fan-ins and Var of one scan, and the
+    output's degree.  ``degree`` is exact when ``degree_exact``, and then
+    ``degree_lower_bound`` equals it.  Otherwise ``degree`` is None and,
+    despite its name, ``degree_lower_bound`` is the largest degree among
+    sampled proof-trees: cancellation between trees can put it above the
+    degree, so it bounds nothing."""
+
     kind: str
     n: int
     modulus: int
@@ -284,7 +300,9 @@ class StructuralReport:
 
 
 def _sampled_degree(circuit: Circuit, samples: int = 64, seed: int = 0) -> int:
-    """Lower bound on the semantic degree from random proof-tree walks."""
+    """Largest degree among ``samples`` random proof-trees.  Not a bound on
+    the semantic degree either way: trees whose monomials cancel can push
+    it above the degree, and unsampled trees can hold a higher one."""
     rng = random.Random(seed)
     best = 0
     for _ in range(samples):
@@ -303,8 +321,56 @@ def _sampled_degree(circuit: Circuit, samples: int = 64, seed: int = 0) -> int:
     return best
 
 
+def _certified_degree(circuit: Circuit) -> Optional[int]:
+    """The exact degree of the output's polynomial when one evaluation
+    proves it, else None.
+
+    One sweep carries each gate's formal degree D (an input 1, a constant
+    0, a sum the max over its children, a product their sum) and the
+    coefficient of lambda^D in its value at lambda * a, for a fixed point a
+    drawn from ``random.Random(0)``: the degree-D homogeneous part
+    evaluated at a.  A product multiplies its children's coefficients; a
+    sum adds those of its children of formal degree D.  D bounds the degree
+    from above, and a nonzero coefficient at the output shows the degree-D
+    part is a nonzero polynomial, so the degree is exactly D.  The proof
+    uses no randomness and no division, so it holds at every prime.  The
+    point only decides how often the answer is None: a nonzero degree-D
+    part vanishes at a random point with chance at most D/p (Schwartz 1980).
+    """
+    p = circuit.field.p
+    rng = random.Random(0)
+    point = [rng.randrange(p) for _ in range(circuit.n)]
+    deg = [0] * circuit.num_gates
+    lead = [0] * circuit.num_gates
+    for g, gate in enumerate(circuit.gates):
+        if gate.kind == INPUT:
+            deg[g] = 1
+            lead[g] = point[gate.var - 1]
+        elif gate.kind == CONST:
+            lead[g] = gate.value
+        elif gate.kind == MUL:
+            acc = 1
+            for c in gate.children:
+                deg[g] += deg[c]
+                acc = acc * lead[c] % p
+            lead[g] = acc
+        else:
+            top = max(deg[c] for c in gate.children)
+            deg[g] = top
+            lead[g] = sum(lead[c] for c in gate.children if deg[c] == top) % p
+    return deg[circuit.output] if lead[circuit.output] else None
+
+
 def structural_report(obj, degree_budget: int = DEFAULT_BUDGET) -> StructuralReport:
-    """Deterministic full scan of a circuit or a layered circuit."""
+    """Deterministic full scan of a circuit or a layered circuit (a layered
+    circuit is scanned flattened).
+
+    When ``expansion_bound`` of the output is within ``degree_budget`` the
+    degree is exact: :func:`_certified_degree` proves it without expanding,
+    and only when it cannot (cancellation, the zero polynomial or an
+    unlucky point) does the report run ``brute_force_expand``.  Above the
+    budget the degree is None and ``degree_lower_bound`` holds the
+    proof-tree sample of :func:`_sampled_degree`, which is not a bound."""
     if isinstance(obj, Circuit):
         return _circuit_report(obj, degree_budget)
     return obj.structural_report(degree_budget)
@@ -336,8 +402,9 @@ def _circuit_report(circuit: Circuit, degree_budget: int) -> StructuralReport:
     exact = False
     lower = 0
     if expansion_bound(circuit, circuit.output) <= degree_budget:
-        poly = brute_force_expand(circuit, degree_budget)
-        degree = poly.total_degree()
+        degree = _certified_degree(circuit)
+        if degree is None:
+            degree = brute_force_expand(circuit, degree_budget).total_degree()
         exact = True
         lower = degree
     else:

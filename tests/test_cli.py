@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
 from circflat.cli import main
+from circflat.generators import random_multilinear
 
 from conftest import pos22
 
@@ -44,6 +46,20 @@ def test_stats_json(pos_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["size"] == 6
     assert data["degree"] == 2
+
+
+def test_stats_json_golden(tmp_path, capsys):
+    """The whole `stats --json` output, exact degree included, is pinned:
+    it was recorded when the degree came from a full expansion."""
+    path = tmp_path / "rm.ckt"
+    path.write_text(random_multilinear(60, 8, seed=3).serialize())
+    assert run(["stats", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["degree_exact"]
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f321a310f5e8851f3951e1c92584ca83976fd3976138c45c5f7a9b1b250c55cd"
+    )
 
 
 def test_balance_roundtrip(tmp_path, pos_file):

@@ -4,31 +4,46 @@ randomized equivalence, structural reports and bound ratios."""
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import circflat.verify as verify_module
 from circflat import (
     Schedule,
+    balance,
     brute_force_expand,
     check_bounds,
     count_proof_trees,
     enumerate_proof_trees,
+    normalized,
     proof_tree_sum,
     random_equiv,
     reduce_depth_delta,
     structural_report,
 )
+from circflat.analysis import inferred_k
 from circflat.circuit import Circuit, Gate, add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
 from circflat.expand import expansion_bound
 from circflat.field import FieldSpec
-from circflat.generators import full_multilinear, random_multi_k_ic, random_multilinear
+from circflat.generators import (
+    full_multilinear,
+    product_of_sums_power,
+    random_multi_k_ic,
+    random_multilinear,
+)
 from circflat.sparse import SparsePolynomial
 from circflat.verify import enumerate_proof_trees_with_paths
 
-from conftest import build, pos22
+from conftest import at_prime, build, pos22
 from test_var import circuits
+
+M61 = (1 << 61) - 1
+M31 = (1 << 31) - 1
+P62 = (1 << 62) - 57
 
 
 def test_expand_single_variable():
@@ -287,6 +302,166 @@ def test_report_records_balanced_structure(field):
     bal, _ = balance(normalized(random_multilinear(40, 8, seed=2, field=field)))
     rep = structural_report(bal)
     assert rep.max_fanin_mul <= 5
+
+
+def cancelling_circuit():
+    """x1*x2 + (p-1)*x1*x2 + x3 at p = 2^61 - 1, which computes x3: degree
+    1, while a proof-tree through either product has degree 2."""
+    gates = [
+        input_gate(1),
+        input_gate(2),
+        input_gate(3),
+        mul_gate((0, 1)),
+        const_gate(M61 - 1),
+        mul_gate((3, 4)),
+        add_gate((3, 5, 2)),
+    ]
+    return build(3, gates)
+
+
+def test_sampled_degree_is_not_a_lower_bound():
+    """Above the budget the report's degree_lower_bound is a sampled
+    proof-tree degree; cancellation puts it above the real degree."""
+    c = cancelling_circuit()
+    sampled = structural_report(c, degree_budget=1)
+    assert sampled.degree is None and not sampled.degree_exact
+    assert sampled.degree_lower_bound == 2
+    exact = structural_report(c)
+    assert exact.degree == exact.degree_lower_bound == 1 and exact.degree_exact
+
+
+def expanded_report(x) -> dict:
+    """The report with the degree certificate forced to fail, so every exact
+    degree comes from brute_force_expand."""
+    with mock.patch.object(verify_module, "_certified_degree", lambda circuit: None):
+        return structural_report(x).to_json_dict()
+
+
+def check_certified_report(x, oracle) -> None:
+    rep = structural_report(x).to_json_dict()
+    assert rep == expanded_report(x)
+    if rep["degree_exact"]:
+        assert rep["degree"] == oracle.total_degree()
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.sampled_from((2, 3, 5, 7, 10007, M31, M61, P62)))
+def test_certified_degree_matches_expansion_property(c, p):
+    """The certificate changes no report field, on inputs and on their
+    depth-2 results wherever balance accepts the field."""
+    c = at_prime(c, p)
+    assume(expansion_bound(c, c.output) <= 1 << 16)
+    oracle = brute_force_expand(c)
+    check_certified_report(c, oracle)
+    if p > max(inferred_k(normalized(c)), 1):
+        layered, _ = reduce_depth_delta(c, 2)
+        check_certified_report(layered, oracle)
+
+
+def test_certifiable_report_expands_nothing(monkeypatch):
+    c = full_multilinear(12)
+    layered, _ = reduce_depth_delta(c, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report expanded a certifiable circuit")
+
+    monkeypatch.setattr(verify_module, "brute_force_expand", refuse)
+    for x in (c, layered):
+        rep = structural_report(x)
+        assert rep.degree == rep.degree_lower_bound == 12 and rep.degree_exact
+
+
+def zero_circuit():
+    """x1 + (p-1)*x1: the zero polynomial."""
+    gates = [input_gate(1), const_gate(M61 - 1), mul_gate((0, 1)), add_gate((0, 2))]
+    return build(1, gates)
+
+
+def cube(p):
+    """x1*x2*x3 over F_p."""
+    gates = [input_gate(1), input_gate(2), input_gate(3), mul_gate((0, 1)), mul_gate((3, 2))]
+    return build(3, gates, field=FieldSpec(p))
+
+
+@pytest.mark.parametrize(
+    "make, degree, certifiable",
+    [
+        (cancelling_circuit, 1, False),
+        (zero_circuit, 0, False),
+        (lambda: build(1, [const_gate(5)]), 0, True),
+        (lambda: cube(2), 3, None),
+        (lambda: cube(3), 3, None),
+        (lambda: pos22(FieldSpec((1 << 89) - 1)), 2, True),
+    ],
+    ids=["cancellation", "zero", "constant", "p2_below_degree", "p3_at_degree", "p89"],
+)
+def test_certificate_edge_cases(make, degree, certifiable):
+    """Cancellation and the zero polynomial cannot be certified and fall
+    back to expansion.  A constant is certified at degree 0, and so is a
+    prime above 2^64, where random point streams are refused.  At p <= D
+    the fixed point may or may not certify the degree; the report is the
+    expansion's either way."""
+    c = make()
+    got = verify_module._certified_degree(c)
+    if certifiable is not None:
+        assert (got is not None) == certifiable
+    assert got in (None, degree)
+    rep = structural_report(c)
+    assert rep.degree == rep.degree_lower_bound == degree and rep.degree_exact
+    assert rep.to_json_dict() == expanded_report(c)
+
+
+def _reduced(make, delta):
+    return lambda: reduce_depth_delta(balance(normalized(make()))[0], delta)[0]
+
+
+# sha256 of json.dumps(structural_report(x).to_json_dict(), sort_keys=True),
+# recorded when every exact report degree came from brute_force_expand.
+REPORT_GOLDEN = [
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)),
+        "f9937550af4926b6c683f267c7052517be31792f5c8863886e1a0c4e23aaf529",
+    ),
+    (
+        _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)), 2),
+        "b4ce9e2875c882191d18aec30232d0e117d9ca07f6ca88647a34dff0601b8260",
+    ),
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M31)),
+        "5f61c2a6fa8743b7a9c4cca5cffde85cf80d8f7d28720fdbb9b8c322156a72db",
+    ),
+    (
+        _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M31)), 2),
+        "2c83a7d7b65e59306eb685fff34a40059d337d91b2c7a40174bf852bd3998467",
+    ),
+    (
+        lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(P62)),
+        "35e30e573ba3a86b369293ea0f93d34322af619f28ff895704282f301eaaa716",
+    ),
+    (
+        _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(P62)), 2),
+        "b146413a1acb3bd6eaba05c440d1f495a5d4f90fb354cdb2551f35f193ed9ea9",
+    ),
+    # above the budget: sampled degree
+    (
+        _reduced(lambda: product_of_sums_power(6, 3, 2, field=FieldSpec(M31)), 3),
+        "8b9e7fda28da4028ed156856f178b7e8633189bb2049a1a173223517e3d2c4f8",
+    ),
+    (
+        lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)),
+        "6d1b65422280abe4985190d7a4f05b71b7ff7658bae45ea11f0c1950955fa96b",
+    ),
+    (
+        _reduced(lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)), 2),
+        "3771c1378ab25678503c1617d35d959cd7b6034e6955a812bc446fb95eeeedae",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, sha", REPORT_GOLDEN)
+def test_report_golden_digests(make, sha):
+    rep = structural_report(make()).to_json_dict()
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == sha
 
 
 def test_check_bounds_delta3_row(field):
