@@ -25,11 +25,6 @@ def vec_max(a: VarVector, b: VarVector) -> VarVector:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def vec_leq(a: VarVector, b: VarVector) -> bool:
-    """Coordinate-wise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 class VarTable:
     """Per-gate Var vectors plus their totals, from one topological sweep."""
 

@@ -32,7 +32,7 @@ from .analysis import compute_var, inferred_k
 from .balance import balance, check_balanced
 from .circuit import ADD, CONST, MUL, Circuit, Gate
 from .errors import ExpansionTooLarge, InvalidParams, NotBalanced
-from .expand import DEFAULT_BUDGET, CircuitExpander, _packed_mul_chunked
+from .expand import DEFAULT_BUDGET, CircuitExpander
 from .normalize import normalized
 from .sparse import PackSpec, SparsePolynomial, pack_poly, unpack_poly
 
@@ -102,6 +102,31 @@ class Summand:
         return {"count": self.count, "coeff": self.coeff, "factors": list(self.factors)}
 
 
+def _packed_mul_chunked(ka, ca, kb, cb, p):
+    """Product of two packed polynomials, chunking the outer product so
+    intermediate buffers stay within the merge-safe size."""
+    na, nb = ka.shape[0], kb.shape[0]
+    if na == 0 or nb == 0:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
+    limit = backends.MAX_MERGE_TERMS
+    if na * nb <= limit:
+        return backends.mul_packed(ka, ca, kb, cb, p)
+    if na < nb:
+        ka, ca, kb, cb = kb, cb, ka, ca
+        na, nb = nb, na
+    chunk = max(1, limit // (2 * nb))
+    acc_k = np.empty(0, dtype=np.uint64)
+    acc_c = np.empty(0, dtype=np.uint64)
+    for start in range(0, na, chunk):
+        part_k, part_c = backends.mul_packed(
+            ka[start : start + chunk], ca[start : start + chunk], kb, cb, p
+        )
+        acc_k = np.concatenate([acc_k, part_k])
+        acc_c = np.concatenate([acc_c, part_c])
+        acc_k, acc_c = backends.merge_packed(acc_k, acc_c, p)
+    return acc_k, acc_c
+
+
 class LayeredCircuit:
     """Explicit (Sigma Pi)^Delta form: a top sum of products over a pool of
     either sparse polynomials (Delta = 2) or nested layered circuits."""
@@ -120,9 +145,6 @@ class LayeredCircuit:
 
     def distinct_products(self) -> int:
         return len(self.products)
-
-    def max_product_arity(self) -> int:
-        return max((len(sm.factors) for sm in self.products), default=0)
 
     def product_var_vectors(self):
         """Per-product coordinate-wise variable degrees (factor masses sum)."""

@@ -3,13 +3,13 @@
 Terms are stored as a map from length-n exponent tuples to nonzero field
 coefficients; the all-zero tuple is the constant term.  These polynomials
 are the exact semantic reference for every circuit transformation, so the
-arithmetic here is deliberately straightforward dictionary algebra.  Hot
-paths (whole-circuit expansion, layered-circuit expansion) do their bulk
-arithmetic on packed uint64 arrays via :mod:`circflat.backends` and convert
-to this type at the edges.
+arithmetic here is deliberately straightforward dictionary algebra.
+Gate expansion (:mod:`circflat.expand`) works on dicts keyed by packed
+Python ints; layered-circuit expansion multiplies its few large pool
+polynomials on packed uint64 arrays via :mod:`circflat.backends`.  Both
+convert to this type at the edges.
 """
 
-import json
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -186,9 +186,6 @@ class SparsePolynomial:
         terms = {tuple(m["exponents"]): m["coeff"] for m in data["monomials"]}
         return cls(data["n"], field, terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     def __repr__(self):
         return f"SparsePolynomial(n={self.n}, terms={self.num_terms()})"
 
@@ -201,9 +198,10 @@ class SparsePolynomial:
 class PackSpec:
     """Bit layout packing one exponent vector into a uint64 key.
 
-    Variable i gets enough bits for its declared degree bound; bounds come
-    from the Var vector of the circuit being expanded, so exponent addition
-    during products can never carry across fields.
+    Variable i gets enough bits for its declared degree bound; the bounds
+    cover every product being formed (``LayeredCircuit.expand`` takes them
+    from the per-product degree sums), so exponent addition during products
+    can never carry across fields.
     """
 
     def __init__(self, bounds):

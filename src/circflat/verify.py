@@ -17,13 +17,13 @@ polynomial or an unlucky point), the report falls back to
 :func:`circflat.expand.brute_force_expand`.
 
 The enumerator carries each tree's exponent vector as one packed Python
-int, so a product adds keys instead of zipping tuples.  Its bit layout is
-its own (see :class:`_TreeEnumerator`); it does not use the oracle's
-:class:`circflat.sparse.PackSpec` or the uint64 kernels in
-:mod:`circflat.backends`, so the two routes stay independent.
+int, so a product adds keys instead of zipping tuples.  The oracle packs
+exponents into Python ints too, but the two share no code: the
+enumerator's bit layout is its own (see :class:`_TreeEnumerator`), and it
+lists one entry per tree and sums them only at the root, where the oracle
+merges terms at every gate.  So the two routes stay independent.
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -76,8 +76,9 @@ def count_proof_trees(circuit: Circuit, root: int, snip: Optional[int] = None) -
 
 class _TreeEnumerator:
     """Materializes every (snipped) proof-tree rooted at ``root`` as a packed
-    monomial key, a coefficient and its rightmost path.  Choice order
-    follows child order, so the output is deterministic.
+    monomial key and a coefficient; :meth:`paths` lists the trees'
+    rightmost paths in the same order, for callers that want them.  Choice
+    order follows child order, so the output is deterministic.
 
     Variable i owns the bits [w*i, w*(i+1)) of the key, where w is the bit
     length of the largest coordinate of Var(root).  No tree below the root,
@@ -93,6 +94,7 @@ class _TreeEnumerator:
         self.mask = (1 << self.width) - 1
         self.plain_memo = {}
         self.snip_memo = {}
+        self.path_memo = {}
 
     def unpack(self, keys) -> List[tuple]:
         """Exponent tuple of each packed key."""
@@ -100,69 +102,69 @@ class _TreeEnumerator:
         shifts = self.shifts
         return [tuple([(key >> s) & mask for s in shifts]) for key in keys]
 
+    def _products(self, lists: list) -> list:
+        """(key sum, coefficient product) of every choice of one tree from
+        each list, the last list's choice varying fastest."""
+        p = self.c.field.p
+        out = [(0, 1)]
+        for trees in lists:
+            out = [(key + e, coeff * co % p) for key, coeff in out for e, co in trees]
+        return out
+
     def plain(self, g: int) -> list:
         if g in self.plain_memo:
             return self.plain_memo[g]
         gate = self.c.gates[g]
-        p = self.c.field.p
         if gate.kind == INPUT:
-            out = [(1 << (self.width * (gate.var - 1)), 1, (g,))]
+            out = [(1 << (self.width * (gate.var - 1)), 1)]
         elif gate.kind == CONST:
-            out = [(0, gate.value, (g,))]
+            out = [(0, gate.value)]
         elif gate.kind == ADD:
-            out = [
-                (e, co, (g,) + rp)
-                for c in gate.children
-                for (e, co, rp) in self.plain(c)
-            ]
+            out = [tree for c in gate.children for tree in self.plain(c)]
         else:
-            out = []
-            child_lists = [self.plain(c) for c in gate.children]
-            for combo in itertools.product(*child_lists):
-                key = 0
-                coeff = 1
-                for e, co, _ in combo:
-                    key += e
-                    coeff = coeff * co % p
-                out.append((key, coeff, (g,) + combo[-1][2]))
+            out = self._products([self.plain(c) for c in gate.children])
         self.plain_memo[g] = out
         return out
 
     def snipped(self, g: int) -> list:
         if g in self.snip_memo:
             return self.snip_memo[g]
-        p = self.c.field.p
+        gate = self.c.gates[g]
         if g == self.snip:
-            out = [(0, 1, (g,))]
+            out = [(0, 1)]
+        elif gate.kind == ADD:
+            out = [tree for c in gate.children for tree in self.snipped(c)]
+        elif gate.kind == MUL:
+            left = [self.plain(c) for c in gate.children[:-1]]
+            out = self._products(left + [self.snipped(gate.children[-1])])
         else:
-            gate = self.c.gates[g]
-            if gate.kind == ADD:
-                out = [
-                    (e, co, (g,) + rp)
-                    for c in gate.children
-                    for (e, co, rp) in self.snipped(c)
-                ]
-            elif gate.kind == MUL:
-                out = []
-                left_lists = [self.plain(c) for c in gate.children[:-1]]
-                tail = self.snipped(gate.children[-1])
-                for combo in itertools.product(*left_lists):
-                    base = 0
-                    coeff = 1
-                    for e, co, _ in combo:
-                        base += e
-                        coeff = coeff * co % p
-                    for e, co, rp in tail:
-                        out.append((base + e, coeff * co % p, (g,) + rp))
-            else:
-                out = []
+            out = []
         self.snip_memo[g] = out
+        return out
+
+    def paths(self, g: int, snipped: bool) -> list:
+        """Rightmost path of each tree of ``snipped(g)`` or ``plain(g)``, in
+        that list's order.  A product's trees run through the combinations
+        of its other children, its last child's trees varying fastest."""
+        if (g, snipped) in self.path_memo:
+            return self.path_memo[g, snipped]
+        gate = self.c.gates[g]
+        if snipped and g == self.snip:
+            out = [(g,)]
+        elif gate.kind == ADD:
+            out = [(g,) + rp for c in gate.children for rp in self.paths(c, snipped)]
+        elif gate.kind == MUL:
+            left = math.prod(len(self.plain(c)) for c in gate.children[:-1])
+            out = [(g,) + rp for rp in self.paths(gate.children[-1], snipped)] * left
+        else:
+            out = [] if snipped else [(g,)]
+        self.path_memo[g, snipped] = out
         return out
 
 
 def _packed_trees(circuit: Circuit, root: int, snip: Optional[int], cap: int):
-    """The enumerator and its list of (packed key, coefficient, rightmost
-    path), after refusing more than ``cap`` trees."""
+    """The enumerator and its list of (packed key, coefficient), after
+    refusing more than ``cap`` trees."""
     count = count_proof_trees(circuit, root, snip)
     if count > cap:
         raise TooManyProofTrees(f"{count} proof-trees exceeds cap {cap}")
@@ -176,17 +178,18 @@ def enumerate_proof_trees_with_paths(
     """(exponents, coefficient, rightmost path) per tree.  The coefficient
     is kept even when it is zero mod p: the trees are syntactic objects."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
-    exps = enum.unpack(key for key, _, _ in trees)
-    return [(e, co, rp) for e, (_, co, rp) in zip(exps, trees)]
+    exps = enum.unpack(key for key, _ in trees)
+    paths = enum.paths(root, snip is not None)
+    return [(e, co, rp) for e, (_, co), rp in zip(exps, trees, paths)]
 
 
 def enumerate_proof_trees(
     circuit: Circuit, root: int, snip: Optional[int] = None, cap: int = 1 << 16
 ) -> List[Tuple[tuple, int]]:
     """One monomial (exponent vector, coefficient) per (snipped) proof-tree."""
-    return [
-        (e, co) for (e, co, _) in enumerate_proof_trees_with_paths(circuit, root, snip, cap)
-    ]
+    enum, trees = _packed_trees(circuit, root, snip, cap)
+    exps = enum.unpack(key for key, _ in trees)
+    return [(e, co) for e, (_, co) in zip(exps, trees)]
 
 
 def proof_tree_sum(
@@ -197,7 +200,7 @@ def proof_tree_sum(
     unpacked once."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
     sums = {}
-    for key, coeff, _ in trees:
+    for key, coeff in trees:
         sums[key] = sums.get(key, 0) + coeff
     return SparsePolynomial(
         circuit.n, circuit.field, dict(zip(enum.unpack(sums), sums.values()))

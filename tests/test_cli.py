@@ -198,11 +198,10 @@ def test_stats_dot(tmp_path, pos_file, capsys):
     assert text.startswith("digraph") and "->" in text
 
 
-def test_kernel_size_limit_exits_4(tmp_path, pos_file, monkeypatch, capsys):
-    from circflat import backends
-
-    monkeypatch.setattr(backends, "MAX_MERGE_TERMS", 2)
-    code = run(["--error-json", "reduce", pos_file, "-o", tmp_path / "o.ckt", "--delta", "2"])
+def test_expansion_budget_exits_4(tmp_path, pos_file, capsys):
+    # (x1 + x2)(x3 + x4) is one bottom factor at t = 4, monomial bound 16
+    argv = ["--budget", "2", "--error-json", "reduce", pos_file, "-o", tmp_path / "o.ckt"]
+    code = run(argv + ["--delta", "2"])
     assert code == 4
     assert json.loads(capsys.readouterr().out.strip())["error"] == "ExpansionTooLarge"
 

@@ -1,0 +1,81 @@
+"""The gate expander: every gate of generated circuits against the
+proof-tree sum and plain SparsePolynomial algebra, at small, word and
+above-word primes; the key layout on gates outside the output's cone; and
+cancellation to zero."""
+
+from hypothesis import given, settings
+
+from circflat import count_proof_trees, proof_tree_sum
+from circflat.circuit import ADD, CONST, INPUT, add_gate, const_gate, input_gate, mul_gate
+from circflat.expand import CircuitExpander, expand_gate
+from circflat.field import FieldSpec
+from circflat.sparse import SparsePolynomial
+
+from conftest import at_prime, build
+from test_var import circuits
+
+PRIMES = (2, 3, 5, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57)
+
+
+def dict_algebra(c):
+    """Every gate's polynomial by SparsePolynomial add and mul."""
+    polys = []
+    for gate in c.gates:
+        if gate.kind == INPUT:
+            polys.append(SparsePolynomial.variable(c.n, c.field, gate.var))
+        elif gate.kind == CONST:
+            polys.append(SparsePolynomial.const(c.n, c.field, gate.value))
+        else:
+            acc = polys[gate.children[0]]
+            for ch in gate.children[1:]:
+                acc = acc.add(polys[ch]) if gate.kind == ADD else acc.mul(polys[ch])
+            polys.append(acc)
+    return polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_n=4, max_internal=9))
+def test_expander_matches_dict_algebra_and_proof_trees(c):
+    for p in PRIMES:
+        cp = at_prime(c, p)
+        want = dict_algebra(cp)
+        shared = CircuitExpander(cp, budget=1 << 16)
+        # top-down, so later gates reuse the memo of earlier, larger cones
+        for g in reversed(range(cp.num_gates)):
+            got = shared.expand(g)
+            assert got == want[g] == expand_gate(cp, g, budget=1 << 16)
+            if count_proof_trees(cp, g) <= 1 << 12:
+                assert got == proof_tree_sum(cp, g, cap=1 << 12)
+
+
+def test_gate_above_the_outputs_var_vector():
+    # x1^256 * x2 outside the cone of the output x1 + x2 + 3: with fields
+    # sized for the output's Var vector (1, 1), x1^256 would carry into x2
+    gates = [input_gate(2), input_gate(1)]
+    for _ in range(8):
+        gates.append(mul_gate((len(gates) - 1, len(gates) - 1)))  # x1^2 .. x1^256
+    gates.append(mul_gate((9, 0)))  # 10: x1^256 x2
+    gates.append(const_gate(3))  # 11
+    gates.append(add_gate((0, 1)))  # 12: x1 + x2
+    gates.append(add_gate((12, 11)))  # 13: x1 + x2 + 3, the output
+    c = build(2, gates)
+    expander = CircuitExpander(c)
+    assert expander.expand(13).terms == {(1, 0): 1, (0, 1): 1, (0, 0): 3}
+    assert expander.expand(10).terms == {(256, 1): 1}
+    assert expand_gate(c, 10).terms == {(256, 1): 1}
+
+
+def test_cancels_to_zero_at_p2():
+    # (x1 + 1)^2 + (x1^2 + 1) = 2 x1^2 + 2 x1 + 2, which is 0 mod 2
+    f = FieldSpec(2)
+    gates = [input_gate(1), const_gate(1)]
+    gates.append(add_gate((0, 1)))  # 2: x1 + 1
+    gates.append(mul_gate((2, 2)))  # 3: x1^2 + 1 mod 2 (2 x1 cancels)
+    gates.append(mul_gate((0, 0)))  # 4: x1^2
+    gates.append(add_gate((4, 1)))  # 5: x1^2 + 1
+    gates.append(add_gate((3, 5)))  # 6: 0
+    c = build(1, gates, field=f)
+    expander = CircuitExpander(c)
+    assert expander.expand(3).terms == {(2,): 1, (0,): 1}
+    assert expander.expand(6).is_zero()
+    assert expander.expand(6) == proof_tree_sum(c, 6) == SparsePolynomial.zero(1, f)
