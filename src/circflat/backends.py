@@ -1,5 +1,5 @@
-"""Kernels for field arithmetic, circuit evaluation, sparse-polynomial
-evaluation and packed sparse-polynomial algebra, written with numpy.
+"""Kernels for field arithmetic, circuit evaluation and sparse-polynomial
+evaluation, written with numpy.
 
 Word arithmetic on uint64 arrays is available for two families of primes:
 the Mersenne prime 2^61 - 1 (products are reduced with shift/mask folding,
@@ -7,8 +7,7 @@ no 128-bit intermediate needed) and any prime below 2^31 (products fit a
 64-bit word directly).  For every other prime the evaluation kernels
 (:func:`eval_program`, :func:`eval_terms`) run the same code on object
 arrays of Python ints, whose products never overflow; :func:`field_dtype`
-picks the dtype from the prime.  The packed merge and multiply stay
-uint64-only.
+picks the dtype from the prime.
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
@@ -136,6 +135,7 @@ def _sum_rows(block, p):
     )
 
 
+# No caller in src/: kept for perfbench/spans.py until ROADMAP item 1 moves tracing in.
 def merge_packed(keys, coeffs, p):
     """Canonicalize packed terms: sort by key, sum duplicate keys mod p and
     drop zero coefficients."""
@@ -156,6 +156,7 @@ def merge_packed(keys, coeffs, p):
     return uniq[keep], vals[keep]
 
 
+# No caller in src/: kept for perfbench/spans.py until ROADMAP item 1 moves tracing in.
 def mul_packed(ka, ca, kb, cb, p):
     """Product of two packed polynomials (exponent keys add, coefficients
     multiply mod p), canonicalized."""

@@ -32,9 +32,9 @@ from .analysis import compute_var, inferred_k
 from .balance import balance, check_balanced
 from .circuit import ADD, CONST, MUL, Circuit, Gate
 from .errors import ExpansionTooLarge, InvalidParams, NotBalanced
-from .expand import DEFAULT_BUDGET, CircuitExpander
+from .expand import DEFAULT_BUDGET, CircuitExpander, brute_force_expand
 from .normalize import normalized
-from .sparse import PackSpec, SparsePolynomial, pack_poly, unpack_poly
+from .sparse import SparsePolynomial
 
 DEFAULT_MAX_PRODUCTS = 1 << 18
 
@@ -100,31 +100,6 @@ class Summand:
 
     def to_json_dict(self) -> dict:
         return {"count": self.count, "coeff": self.coeff, "factors": list(self.factors)}
-
-
-def _packed_mul_chunked(ka, ca, kb, cb, p):
-    """Product of two packed polynomials, chunking the outer product so
-    intermediate buffers stay within the merge-safe size."""
-    na, nb = ka.shape[0], kb.shape[0]
-    if na == 0 or nb == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64)
-    limit = backends.MAX_MERGE_TERMS
-    if na * nb <= limit:
-        return backends.mul_packed(ka, ca, kb, cb, p)
-    if na < nb:
-        ka, ca, kb, cb = kb, cb, ka, ca
-        na, nb = nb, na
-    chunk = max(1, limit // (2 * nb))
-    acc_k = np.empty(0, dtype=np.uint64)
-    acc_c = np.empty(0, dtype=np.uint64)
-    for start in range(0, na, chunk):
-        part_k, part_c = backends.mul_packed(
-            ka[start : start + chunk], ca[start : start + chunk], kb, cb, p
-        )
-        acc_k = np.concatenate([acc_k, part_k])
-        acc_c = np.concatenate([acc_c, part_c])
-        acc_k, acc_c = backends.merge_packed(acc_k, acc_c, p)
-    return acc_k, acc_c
 
 
 class LayeredCircuit:
@@ -215,49 +190,10 @@ class LayeredCircuit:
     # -- exact expansion ----------------------------------------------------
 
     def expand(self, budget: int = DEFAULT_BUDGET) -> SparsePolynomial:
-        """Exact polynomial of the whole layered circuit."""
-        f = self.field
-        polys = [
-            e if isinstance(e, SparsePolynomial) else e.expand(budget) for e in self.pool
-        ]
-        bounds = [0] * self.n
-        per_product = []
-        for sm in self.products:
-            acc = [0] * self.n
-            for r in sm.factors:
-                acc = [a + b for a, b in zip(acc, polys[r].per_var_degrees())]
-            per_product.append(acc)
-            bounds = [max(a, b) for a, b in zip(bounds, acc)]
-        est = 1
-        for b in bounds:
-            est *= 1 + b
-        if est > budget:
-            raise ExpansionTooLarge(f"layered expansion bound {est} exceeds {budget}")
-        spec = PackSpec(bounds)
-        if backends.field_dtype(f.p) == np.uint64 and spec.fits():
-            packed = {}
-            acc_k = np.empty(0, dtype=np.uint64)
-            acc_c = np.empty(0, dtype=np.uint64)
-            for sm in self.products:
-                keys = np.zeros(1, dtype=np.uint64)
-                coeffs = np.asarray([sm.coeff % f.p], dtype=np.uint64)
-                for r in sm.factors:
-                    if r not in packed:
-                        packed[r] = pack_poly(polys[r], spec)
-                    keys, coeffs = _packed_mul_chunked(keys, coeffs, *packed[r], f.p)
-                acc_k = np.concatenate([acc_k, keys])
-                acc_c = np.concatenate([acc_c, coeffs])
-                if acc_k.shape[0] > backends.MAX_MERGE_TERMS // 2:
-                    acc_k, acc_c = backends.merge_packed(acc_k, acc_c, f.p)
-            acc_k, acc_c = backends.merge_packed(acc_k, acc_c, f.p)
-            return unpack_poly(acc_k, acc_c, spec, self.n, f)
-        total = SparsePolynomial.zero(self.n, f)
-        for sm in self.products:
-            term = SparsePolynomial.const(self.n, f, sm.coeff)
-            for r in sm.factors:
-                term = term.mul(polys[r])
-            total = total.add(term)
-        return total
+        """Exact polynomial of the whole layered circuit: the oracle's
+        expansion of its flattened form, refused when that form's monomial
+        bound exceeds the budget."""
+        return brute_force_expand(self.flatten(), budget)
 
     # -- serialization -------------------------------------------------------
 

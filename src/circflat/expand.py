@@ -118,9 +118,6 @@ def expand_gate(
     return CircuitExpander(circuit, budget).expand(gate)
 
 
-expand_sparse = expand_gate
-
-
 def brute_force_expand(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> SparsePolynomial:
     """Exact sparse polynomial of the output gate: the semantic oracle."""
     return CircuitExpander(circuit, budget).expand(circuit.output)

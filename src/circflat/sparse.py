@@ -4,10 +4,9 @@ Terms are stored as a map from length-n exponent tuples to nonzero field
 coefficients; the all-zero tuple is the constant term.  These polynomials
 are the exact semantic reference for every circuit transformation, so the
 arithmetic here is deliberately straightforward dictionary algebra.
-Gate expansion (:mod:`circflat.expand`) works on dicts keyed by packed
-Python ints; layered-circuit expansion multiplies its few large pool
-polynomials on packed uint64 arrays via :mod:`circflat.backends`.  Both
-convert to this type at the edges.
+Gate expansion (:mod:`circflat.expand`), which also expands layered
+circuits through their flattened form, works on dicts keyed by packed
+Python ints and converts to this type at the edge.
 """
 
 from typing import Dict, Optional, Tuple
@@ -148,10 +147,12 @@ class SparsePolynomial:
         return backends.eval_terms(exps, coeffs, points, self.field.p)
 
     def to_term_arrays(self):
-        """(terms, n) uint8 exponent matrix plus coefficients of
+        """(terms, n) exponent matrix of the narrowest unsigned dtype that
+        holds the largest exponent, plus coefficients of
         ``backends.field_dtype(p)``, in canonical term order."""
         keys = sorted(self.terms)
-        exps = np.array(keys, dtype=np.uint8).reshape(len(keys), self.n)
+        top = max((max(e, default=0) for e in keys), default=0)
+        exps = np.array(keys, dtype=np.min_scalar_type(top)).reshape(len(keys), self.n)
         coeffs = np.array(
             [self.terms[e] for e in keys], dtype=backends.field_dtype(self.field.p)
         )
@@ -188,57 +189,3 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial(n={self.n}, terms={self.num_terms()})"
-
-
-# ---------------------------------------------------------------------------
-# packed representation
-# ---------------------------------------------------------------------------
-
-
-class PackSpec:
-    """Bit layout packing one exponent vector into a uint64 key.
-
-    Variable i gets enough bits for its declared degree bound; the bounds
-    cover every product being formed (``LayeredCircuit.expand`` takes them
-    from the per-product degree sums), so exponent addition during products
-    can never carry across fields.
-    """
-
-    def __init__(self, bounds):
-        self.bounds = tuple(int(b) for b in bounds)
-        self.shifts = []
-        self.widths = []
-        pos = 0
-        for b in self.bounds:
-            w = max(b, 0).bit_length() if b > 0 else 0
-            self.shifts.append(pos)
-            self.widths.append(w)
-            pos += w
-        self.total_bits = pos
-
-    def fits(self) -> bool:
-        return self.total_bits <= 63
-
-    def pack(self, exps: Exponents) -> int:
-        key = 0
-        for e, s, w in zip(exps, self.shifts, self.widths):
-            if e:
-                key |= e << s
-        return key
-
-
-def pack_poly(poly: SparsePolynomial, spec: PackSpec):
-    keys = np.fromiter(
-        (spec.pack(e) for e in poly.terms), dtype=np.uint64, count=len(poly.terms)
-    )
-    coeffs = np.fromiter(poly.terms.values(), dtype=np.uint64, count=len(poly.terms))
-    return backends.merge_packed(keys, coeffs, poly.field.p)
-
-
-def unpack_poly(keys, coeffs, spec: PackSpec, n: int, field: FieldSpec) -> SparsePolynomial:
-    """Sparse polynomial of packed uint64 terms: one broadcast shift and mask
-    builds the (terms, n) exponent matrix."""
-    shifts = np.asarray(spec.shifts, dtype=np.uint64)
-    masks = np.asarray([(1 << w) - 1 for w in spec.widths], dtype=np.uint64)
-    exps = (keys[:, None] >> shifts) & masks
-    return SparsePolynomial(n, field, dict(zip(map(tuple, exps.tolist()), coeffs.tolist())))

@@ -12,7 +12,7 @@ from circflat import (
     brute_force_expand,
     choose_t,
     compute_var,
-    expand_sparse,
+    expand_gate,
     random_equiv,
     reduce_depth4,
     reduce_depth_delta,
@@ -57,28 +57,28 @@ def test_choose_t_invalid_params():
         choose_t(4, 1, 4, 1)
 
 
-# -- expand_sparse ---------------------------------------------------------------
+# -- expand_gate -----------------------------------------------------------------
 
 
 def test_expand_sparse_product_of_sums(field):
     c = pos22(field)
-    poly = expand_sparse(c, c.output, budget=100)
+    poly = expand_gate(c, c.output, budget=100)
     assert poly.num_terms() == 4 and all(v == 1 for v in poly.terms.values())
 
 
 def test_expand_sparse_const(field):
     c = build(1, [const_gate(7)], field=field)
-    assert expand_sparse(c, 0, budget=10).terms == {(0,): 7}
+    assert expand_gate(c, 0, budget=10).terms == {(0,): 7}
 
 
 def test_expand_sparse_square_plus_linear(field):
     # x1*x1 + 2*x1: two monomials within the bound (1 + 2) = 3
     gates = [input_gate(1), const_gate(2), mul_gate((0, 0)), mul_gate((1, 0)), add_gate((2, 3))]
     c = build(1, gates, field=field)
-    poly = expand_sparse(c, 4, budget=3)
+    poly = expand_gate(c, 4, budget=3)
     assert poly.terms == {(2,): 1, (1,): 2}
     with pytest.raises(ExpansionTooLarge):
-        expand_sparse(c, 4, budget=2)
+        expand_gate(c, 4, budget=2)
 
 
 # -- reduce_depth4 ------------------------------------------------------------------
@@ -345,6 +345,20 @@ def test_layered_evaluate_batch_matches_expand(field):
     got = layered.evaluate_batch(pts)
     for i in range(5):
         assert int(got[i]) == poly.evaluate([int(x) for x in pts[i]])
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57])
+def test_layered_expand_matches_oracle_at_every_prime(p, delta):
+    from circflat.field import FieldSpec
+
+    orig = random_multilinear(50, 8, seed=14, field=FieldSpec(p))
+    layered, _ = reduce_depth_delta(orig, delta)
+    assert layered.expand() == brute_force_expand(orig)
+    # the flattened circuit's Var vector is (1,) * 8: 2^8 monomials at most
+    assert layered.expand(budget=1 << 8) == brute_force_expand(orig)
+    with pytest.raises(ExpansionTooLarge):
+        layered.expand(budget=(1 << 8) - 1)
 
 
 def test_layered_zero_pool_entry_stays_on_uint64(field):

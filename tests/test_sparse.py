@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from circflat import LayeredCircuit, Summand
 from circflat.errors import IncompatibleArity
 from circflat.field import FieldSpec
-from circflat.sparse import PackSpec, SparsePolynomial, pack_poly, unpack_poly
+from circflat.sparse import SparsePolynomial
 
 
 @pytest.fixture
@@ -70,16 +71,13 @@ def test_json_roundtrip(f):
     assert again == poly
 
 
-def test_pack_roundtrip(f):
-    spec = PackSpec((2, 1, 3))
-    assert spec.fits()
-    poly = SparsePolynomial(3, f, {(2, 1, 3): 11, (0, 0, 0): 5, (1, 0, 2): 7})
-    keys, coeffs = pack_poly(poly, spec)
-    assert list(keys) == sorted(keys)
-    again = unpack_poly(keys, coeffs, spec, 3, f)
-    assert again == poly
-
-
-def test_pack_spec_rejects_wide_layouts():
-    spec = PackSpec((255,) * 10)  # 80 bits
-    assert not spec.fits()
+@pytest.mark.parametrize("p", [(1 << 61) - 1, (1 << 62) - 57])
+def test_evaluate_batch_exponent_above_a_byte(p):
+    # x1^256: one past the largest uint8 exponent
+    field = FieldSpec(p)
+    poly = SparsePolynomial(1, field, {(256,): 1})
+    pts = np.array([[3], [p - 2], [0]], dtype=np.uint64)
+    want = [poly.evaluate(pt) for pt in pts.tolist()]
+    assert poly.evaluate_batch(pts).tolist() == want
+    layered = LayeredCircuit(1, field, 2, [poly], [Summand(1, 1, (0,))])
+    assert layered.evaluate_batch(pts).tolist() == want
