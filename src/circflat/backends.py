@@ -175,11 +175,14 @@ def mul_packed(ka, ca, kb, cb, p):
 def eval_terms(exps, coeffs, points, p):
     """Evaluate an exponent-matrix polynomial at a batch of points.
 
-    Vectorized over terms: the powers of every variable that occurs are
-    built once, up to the largest exponent; then each chunk of terms, a
-    (terms, points) block of at most ``TERM_BLOCK`` entries, takes one
-    multiply per occurring variable, gathering x_i^e for every term, and is
-    summed mod p.  uint64 blocks are reduced after every multiply; object
+    Vectorized over terms: a table holds x_i^e for each variable i that
+    occurs and every exponent e up to the largest, or only the exponents
+    that occur once the largest reaches the number of terms, so it has no
+    more rows than the exponent matrix has entries.  Each power is the one
+    below it times x_i^gap by square-and-multiply.  Then each chunk of
+    terms, a (terms, points) block of at most ``TERM_BLOCK`` entries, takes
+    one multiply per occurring variable, gathering x_i^e for every term,
+    and is summed mod p.  uint64 blocks are reduced after every multiply; object
     blocks of Python ints only once, when the chunk is summed.  The result
     has ``field_dtype(p)``; a polynomial without terms evaluates to zeros.
     """
@@ -192,13 +195,29 @@ def eval_terms(exps, coeffs, points, p):
     coeffs = coeffs.astype(dtype, copy=False)
     used = np.flatnonzero(exps.any(axis=0))
     exps = exps[:, used]
+    x = points[:, used].T
     emax = int(exps.max(initial=1))
-    # pows[e, j] = x_used[j]^e
-    pows = np.empty((emax + 1, used.size, npts), dtype=dtype)
-    pows[0] = 1
-    pows[1] = points[:, used].T
-    for e in range(2, emax + 1):
-        pows[e] = mulmod_vec(pows[e - 1], pows[1], p)
+    if emax < max(nterms, 2):
+        distinct = range(emax + 1)  # no more rows than terms, or x^0 and x^1
+    else:
+        # exps becomes the index of its exponent among the distinct ones
+        distinct, index = np.unique(exps, return_inverse=True)
+        exps = index.reshape(exps.shape)
+    if emax > 1:
+        x = x.astype(dtype, copy=False)  # object arrays at primes without a word kernel
+    # pows[k, j] = x_used[j]^distinct[k], each power the one before it times
+    # x^gap by square-and-multiply
+    pows = np.empty((len(distinct), used.size, npts), dtype=dtype)
+    cur, last = None, 0  # cur = x^last, None while that is 1
+    for k, e in enumerate(distinct):
+        base, gap, last = x, int(e) - last, int(e)
+        while gap:
+            if gap & 1:
+                cur = base if cur is None else mulmod_vec(cur, base, p)
+            gap >>= 1
+            if gap:
+                base = mulmod_vec(base, base, p)
+        pows[k] = 1 if cur is None else cur
     step = max(1, TERM_BLOCK // max(npts, 1))
     acc = None
     for lo in range(0, nterms, step):

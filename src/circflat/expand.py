@@ -3,11 +3,13 @@
 The polynomial computed at a gate has at most prod_i (1 + d_i) monomials,
 where (d_1, ..., d_n) is the gate's Var vector, so expansion is feasible
 exactly when that product stays within a budget.  One sweep serves every
-prime: each gate's polynomial is a dict from a packed Python-int exponent
-key to a coefficient mod p, so a sum merges dicts and a product adds keys
-and multiplies coefficients, reducing once per output key.  The
-polynomials met here are mostly a handful of terms, where one dict
-operation is far cheaper than one numpy call.
+prime: each gate's polynomial is a dict in the packed form of
+:mod:`circflat.sparse`, from a Python-int exponent key to a coefficient
+mod p, so a sum merges dicts and a product adds keys and multiplies
+coefficients, reducing once per output key.  The polynomials met here are
+mostly a handful of terms, where one dict operation is far cheaper than
+one numpy call.  A gate's dict becomes its polynomial as it is; exponent
+tuples are built only if a caller reads the terms.
 """
 
 from typing import Dict
@@ -15,7 +17,7 @@ from typing import Dict
 from .analysis import compute_var
 from .circuit import ADD, CONST, INPUT, Circuit
 from .errors import ExpansionTooLarge
-from .sparse import SparsePolynomial
+from .sparse import SparsePolynomial, key_width, variable_key
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -33,20 +35,19 @@ class CircuitExpander:
     """Memoized gate-by-gate expansion over one circuit.
 
     A single instance shares work between gates (the depth-4 reduction
-    expands many bottom factors of the same balanced circuit).  Each gate's
-    polynomial is a dict from a packed Python-int exponent key to a
-    coefficient mod p.  Variable i owns bytes [w*i, w*(i+1)) of the key,
-    where w bytes hold the largest coordinate of *any* gate's Var vector:
-    no gate, in the output's cone or not, has an exponent above its Var
-    vector, so adding the keys of a product's children never carries from
-    one field into the next.
+    expands many bottom factors of the same balanced circuit).  The sweep
+    never changes a memoized dict, so :meth:`SparsePolynomial.from_packed`
+    may keep it.  Each variable's w key bytes hold the largest coordinate
+    of *any* gate's Var vector: no gate, in the output's cone or not, has
+    an exponent above its Var vector, so adding the keys of a product's
+    children never carries from one field into the next.
     """
 
     def __init__(self, circuit: Circuit, budget: int = DEFAULT_BUDGET):
         self.circuit = circuit
         self.budget = budget
         self.var = compute_var(circuit)
-        self.width = max((self.var.max_coord.bit_length() + 7) // 8, 1)
+        self.width = key_width(self.var.max_coord)
         self._polys: Dict[int, Dict[int, int]] = {}
 
     def check_budget(self, gate: int) -> int:
@@ -60,16 +61,7 @@ class CircuitExpander:
     def expand(self, gate: int) -> SparsePolynomial:
         self.check_budget(gate)
         c = self.circuit
-        w = self.width
-        nbytes = w * c.n
-        terms = {}
-        for key, coeff in self._sweep(gate).items():
-            raw = key.to_bytes(nbytes, "little")
-            exps = tuple(raw) if w == 1 else tuple(
-                int.from_bytes(raw[i : i + w], "little") for i in range(0, nbytes, w)
-            )
-            terms[exps] = coeff
-        return SparsePolynomial(c.n, c.field, terms)
+        return SparsePolynomial.from_packed(c.n, c.field, self.width, self._sweep(gate))
 
     def _sweep(self, gate: int) -> Dict[int, int]:
         """Key -> coefficient dict of ``gate``, expanding every gate of its
@@ -87,7 +79,7 @@ class CircuitExpander:
         for g in sorted(todo):
             gd = c.gates[g]
             if gd.kind == INPUT:
-                memo[g] = {1 << (8 * self.width * (gd.var - 1)): 1}
+                memo[g] = {variable_key(gd.var, self.width): 1}
             elif gd.kind == CONST:
                 memo[g] = {0: gd.value % p} if gd.value % p else {}
             elif gd.kind == ADD:

@@ -1,15 +1,20 @@
 """Sparse multivariate polynomials over F_p.
 
-Terms are stored as a map from length-n exponent tuples to nonzero field
-coefficients; the all-zero tuple is the constant term.  These polynomials
-are the exact semantic reference for every circuit transformation, so the
-arithmetic here is deliberately straightforward dictionary algebra.
-Gate expansion (:mod:`circflat.expand`), which also expands layered
-circuits through their flattened form, works on dicts keyed by packed
-Python ints and converts to this type at the edge.
+Terms map length-n exponent tuples to nonzero field coefficients; the
+all-zero tuple is the constant term.  These polynomials are the exact
+semantic reference for every circuit transformation, so the arithmetic
+here is deliberately straightforward dictionary algebra.
+
+Gate expansion (:mod:`circflat.expand`) and proof-tree enumeration
+(:mod:`circflat.verify`) give polynomials in packed form: a dict from a
+Python-int key, where variable i owns bytes [w*i, w*(i+1)) of the
+little-endian key, to a coefficient.  ``terms`` unpacks it on first read,
+and two polynomials packed at the same width compare their packed dicts,
+so checking one expansion against another builds no exponent tuples.
 """
 
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,10 +25,33 @@ from .field import FieldSpec
 Exponents = Tuple[int, ...]
 
 
+def key_width(top: int) -> int:
+    """Bytes per variable of packed keys whose exponents reach ``top``."""
+    return max((top.bit_length() + 7) // 8, 1)
+
+
+def variable_key(var: int, width: int) -> int:
+    """Packed key of the monomial x_var, for a 1-based variable index."""
+    return 1 << (8 * width * (var - 1))
+
+
+def unpack_keys(keys: Iterable[int], n: int, width: int) -> List[Exponents]:
+    """Exponent tuple of each packed key: variable i is read from bytes
+    [width*i, width*(i+1)) of the little-endian key."""
+    nbytes = width * n
+    raws = (key.to_bytes(nbytes, "little") for key in keys)
+    if width == 1:
+        return [tuple(raw) for raw in raws]
+    cuts = range(0, nbytes, width)
+    return [tuple(int.from_bytes(raw[i : i + width], "little") for i in cuts) for raw in raws]
+
+
 class SparsePolynomial:
     def __init__(self, n: int, field: FieldSpec, terms: Optional[Dict[Exponents, int]] = None):
         self.n = n
         self.field = field
+        self._packed: Optional[Dict[int, int]] = None
+        self._width = 0
         self.terms: Dict[Exponents, int] = {}
         if terms:
             for e, c in terms.items():
@@ -31,7 +59,24 @@ class SparsePolynomial:
                 if c:
                     self.terms[tuple(e)] = c
 
+    @cached_property
+    def terms(self) -> Dict[Exponents, int]:
+        """Exponent tuple -> coefficient; a packed polynomial unpacks on
+        first read, and the dict is then an attribute like any other."""
+        packed = self._packed
+        return dict(zip(unpack_keys(packed, self.n, self._width), packed.values()))
+
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_packed(cls, n: int, field: FieldSpec, width: int, packed: Dict[int, int]):
+        """Polynomial over packed terms at ``width`` bytes per variable.
+        Trusted, not re-normalized: every coefficient must be reduced mod p
+        and nonzero, and every exponent must fit its bytes.  The dict is
+        kept, not copied, so the caller must not change it afterwards."""
+        poly = cls.__new__(cls)
+        poly.n, poly.field, poly._packed, poly._width = n, field, packed, width
+        return poly
 
     @classmethod
     def zero(cls, n, field):
@@ -53,10 +98,10 @@ class SparsePolynomial:
     # -- shape -----------------------------------------------------------
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.terms if self._packed is None else self._packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self.terms if self._packed is None else self._packed)
 
     def is_multilinear(self) -> bool:
         return all(all(e <= 1 for e in exps) for exps in self.terms)
@@ -109,19 +154,16 @@ class SparsePolynomial:
                     out.pop(e, None)
         return SparsePolynomial(self.n, self.field, out)
 
-    def scale(self, c: int) -> "SparsePolynomial":
-        c %= self.field.p
-        return SparsePolynomial(
-            self.n, self.field, {e: v * c % self.field.p for e, v in self.terms.items()}
-        )
-
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, SparsePolynomial)
             and self.n == other.n
             and self.field.p == other.field.p
-            and self.terms == other.terms
-        )
+        ):
+            return False
+        if self._packed is not None and other._packed is not None and self._width == other._width:
+            return self._packed == other._packed
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, self.field.p, frozenset(self.terms.items())))

@@ -17,11 +17,13 @@ polynomial or an unlucky point), the report falls back to
 :func:`circflat.expand.brute_force_expand`.
 
 The enumerator carries each tree's exponent vector as one packed Python
-int, so a product adds keys instead of zipping tuples.  The oracle packs
-exponents into Python ints too, but the two share no code: the
-enumerator's bit layout is its own (see :class:`_TreeEnumerator`), and it
-lists one entry per tree and sums them only at the root, where the oracle
-merges terms at every gate.  So the two routes stay independent.
+int, so a product adds keys instead of zipping tuples.  It shares the key
+encoding with the oracle, the packed form of :mod:`circflat.sparse`, so
+the two polynomials compare on their packed dicts, but not the algorithm:
+the enumerator lists one entry per tree and sums them only at the root,
+where the oracle merges terms at every gate.  Its key width comes from
+Var(root), the oracle's from the whole circuit; where they differ the
+comparison falls back to exponent tuples.
 """
 
 import math
@@ -34,7 +36,7 @@ from .analysis import compute_var
 from .circuit import ADD, CONST, INPUT, MUL, Circuit
 from .errors import IncompatibleArity, TooManyProofTrees
 from .expand import DEFAULT_BUDGET, brute_force_expand, expansion_bound
-from .sparse import SparsePolynomial
+from .sparse import SparsePolynomial, key_width, unpack_keys, variable_key
 
 # ---------------------------------------------------------------------------
 # proof-tree enumeration
@@ -80,27 +82,20 @@ class _TreeEnumerator:
     rightmost paths in the same order, for callers that want them.  Choice
     order follows child order, so the output is deterministic.
 
-    Variable i owns the bits [w*i, w*(i+1)) of the key, where w is the bit
-    length of the largest coordinate of Var(root).  No tree below the root,
-    plain or snipped, has an exponent above Var(root), so adding the keys of
-    a product's children never carries from one field into the next.
+    Keys are in the packed form of :mod:`circflat.sparse`: variable i owns
+    bytes [w*i, w*(i+1)) of the little-endian key, where w bytes hold the
+    largest coordinate of Var(root).  No tree below the root, plain or
+    snipped, has an exponent above Var(root), so adding the keys of a
+    product's children never carries from one field into the next.
     """
 
     def __init__(self, circuit: Circuit, root: int, snip: Optional[int]):
         self.c = circuit
         self.snip = snip
-        self.width = max(max(compute_var(circuit).vector(root), default=0).bit_length(), 1)
-        self.shifts = list(range(0, self.width * circuit.n, self.width))
-        self.mask = (1 << self.width) - 1
+        self.width = key_width(max(compute_var(circuit).vector(root), default=0))
         self.plain_memo = {}
         self.snip_memo = {}
         self.path_memo = {}
-
-    def unpack(self, keys) -> List[tuple]:
-        """Exponent tuple of each packed key."""
-        mask = self.mask
-        shifts = self.shifts
-        return [tuple([(key >> s) & mask for s in shifts]) for key in keys]
 
     def _products(self, lists: list) -> list:
         """(key sum, coefficient product) of every choice of one tree from
@@ -116,7 +111,7 @@ class _TreeEnumerator:
             return self.plain_memo[g]
         gate = self.c.gates[g]
         if gate.kind == INPUT:
-            out = [(1 << (self.width * (gate.var - 1)), 1)]
+            out = [(variable_key(gate.var, self.width), 1)]
         elif gate.kind == CONST:
             out = [(0, gate.value)]
         elif gate.kind == ADD:
@@ -178,7 +173,7 @@ def enumerate_proof_trees_with_paths(
     """(exponents, coefficient, rightmost path) per tree.  The coefficient
     is kept even when it is zero mod p: the trees are syntactic objects."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
-    exps = enum.unpack(key for key, _ in trees)
+    exps = unpack_keys((key for key, _ in trees), circuit.n, enum.width)
     paths = enum.paths(root, snip is not None)
     return [(e, co, rp) for e, (_, co), rp in zip(exps, trees, paths)]
 
@@ -188,23 +183,23 @@ def enumerate_proof_trees(
 ) -> List[Tuple[tuple, int]]:
     """One monomial (exponent vector, coefficient) per (snipped) proof-tree."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
-    exps = enum.unpack(key for key, _ in trees)
+    exps = unpack_keys((key for key, _ in trees), circuit.n, enum.width)
     return [(e, co) for e, (_, co) in zip(exps, trees)]
 
 
 def proof_tree_sum(
     circuit: Circuit, root: int, snip: Optional[int] = None, cap: int = 1 << 16
 ) -> SparsePolynomial:
-    """Sum of the values of all (snipped) proof-trees, as a polynomial.
-    Coefficients are summed per packed key; each distinct monomial is
-    unpacked once."""
+    """Sum of the values of all (snipped) proof-trees, as a polynomial
+    over packed keys: coefficients are summed per key and reduced mod p,
+    and keys whose sum is zero are dropped."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
     sums = {}
     for key, coeff in trees:
         sums[key] = sums.get(key, 0) + coeff
-    return SparsePolynomial(
-        circuit.n, circuit.field, dict(zip(enum.unpack(sums), sums.values()))
-    )
+    p = circuit.field.p
+    packed = {key: v % p for key, v in sums.items() if v % p}
+    return SparsePolynomial.from_packed(circuit.n, circuit.field, enum.width, packed)
 
 
 # ---------------------------------------------------------------------------

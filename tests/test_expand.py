@@ -1,15 +1,17 @@
 """The gate expander: every gate of generated circuits against the
 proof-tree sum and plain SparsePolynomial algebra, at small, word and
-above-word primes; the key layout on gates outside the output's cone; and
-cancellation to zero."""
+above-word primes; the packed form both return; the key layout on gates
+outside the output's cone; and cancellation."""
 
+import pytest
 from hypothesis import given, settings
 
-from circflat import count_proof_trees, proof_tree_sum
+from circflat import brute_force_expand, count_proof_trees, proof_tree_sum
 from circflat.circuit import ADD, CONST, INPUT, add_gate, const_gate, input_gate, mul_gate
 from circflat.expand import CircuitExpander, expand_gate
 from circflat.field import FieldSpec
 from circflat.sparse import SparsePolynomial
+from circflat.verify import _TreeEnumerator
 
 from conftest import at_prime, build
 from test_var import circuits
@@ -43,14 +45,16 @@ def test_expander_matches_dict_algebra_and_proof_trees(c):
         # top-down, so later gates reuse the memo of earlier, larger cones
         for g in reversed(range(cp.num_gates)):
             got = shared.expand(g)
+            # packed against plain terms, and equal objects hash equal
             assert got == want[g] == expand_gate(cp, g, budget=1 << 16)
+            assert hash(got) == hash(want[g])
             if count_proof_trees(cp, g) <= 1 << 12:
-                assert got == proof_tree_sum(cp, g, cap=1 << 12)
+                trees = proof_tree_sum(cp, g, cap=1 << 12)
+                assert got == trees and hash(trees) == hash(got)
 
 
-def test_gate_above_the_outputs_var_vector():
-    # x1^256 * x2 outside the cone of the output x1 + x2 + 3: with fields
-    # sized for the output's Var vector (1, 1), x1^256 would carry into x2
+def x1_256_x2_outside_the_cone():
+    """x1^256 x2 (gate 10) outside the cone of the output x1 + x2 + 3."""
     gates = [input_gate(2), input_gate(1)]
     for _ in range(8):
         gates.append(mul_gate((len(gates) - 1, len(gates) - 1)))  # x1^2 .. x1^256
@@ -58,7 +62,13 @@ def test_gate_above_the_outputs_var_vector():
     gates.append(const_gate(3))  # 11
     gates.append(add_gate((0, 1)))  # 12: x1 + x2
     gates.append(add_gate((12, 11)))  # 13: x1 + x2 + 3, the output
-    c = build(2, gates)
+    return build(2, gates)
+
+
+def test_gate_above_the_outputs_var_vector():
+    # with fields sized for the output's Var vector (1, 1), x1^256 would
+    # carry into x2
+    c = x1_256_x2_outside_the_cone()
     expander = CircuitExpander(c)
     assert expander.expand(13).terms == {(1, 0): 1, (0, 1): 1, (0, 0): 3}
     assert expander.expand(10).terms == {(256, 1): 1}
@@ -79,3 +89,29 @@ def test_cancels_to_zero_at_p2():
     assert expander.expand(3).terms == {(2,): 1, (0,): 1}
     assert expander.expand(6).is_zero()
     assert expander.expand(6) == proof_tree_sum(c, 6) == SparsePolynomial.zero(1, f)
+
+
+def test_packed_widths_differ_and_still_compare_equal():
+    # the expander sizes its keys for x1^256 (two bytes per variable), the
+    # enumerator for Var(output) = (1, 1) (one byte), so equality falls back
+    # to exponent tuples
+    c = x1_256_x2_outside_the_cone()
+    assert CircuitExpander(c).width == 2
+    assert _TreeEnumerator(c, c.output, None).width == 1
+    oracle = brute_force_expand(c)
+    trees = proof_tree_sum(c, c.output)
+    assert oracle == trees and trees == oracle
+    assert oracle.terms == trees.terms == {(1, 0): 1, (0, 1): 1, (0, 0): 3}
+
+
+@pytest.mark.parametrize("p", [2, 3, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57])
+def test_proof_tree_sum_cancels_to_the_oracle(p):
+    # x1 x2 + (p - 1) x1 x2 + x3 = x3: the x1 x2 trees sum to p
+    gates = [input_gate(1), input_gate(2), input_gate(3), const_gate(p - 1)]
+    gates.append(mul_gate((0, 1)))  # 4: x1 x2
+    gates.append(mul_gate((3, 0, 1)))  # 5: (p - 1) x1 x2
+    gates.append(add_gate((4, 5, 2)))  # 6: the output
+    c = build(3, gates, field=FieldSpec(p))
+    trees = proof_tree_sum(c, 6)
+    assert trees == brute_force_expand(c)
+    assert trees.num_terms() == 1 and trees.terms == {(0, 0, 1): 1}
