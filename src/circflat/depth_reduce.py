@@ -12,7 +12,8 @@ factor gates (constant factors fold into a per-node scalar), identical
 multisets are merged with their path counts, and every expansion step is
 checked against the termination measure: either the node's total |Var|
 drops by at least t/4, or the number of factors with |Var| >= t/16 grows.
-That measure bounds the tree depth by 20 * kn / t.
+A step that breaks the measure raises NotBalanced.  The measure bounds the
+tree depth by 20 * kn / t.
 
 Every level runs that exploration and then builds its pool from the
 factor gates: at Delta = 2 each is expanded into its monomials, at
@@ -36,7 +37,7 @@ from .expand import DEFAULT_BUDGET, CircuitExpander, brute_force_expand
 from .normalize import normalized
 from .sparse import SparsePolynomial
 
-DEFAULT_MAX_PRODUCTS = 1 << 18
+MAX_PRODUCTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +118,6 @@ class LayeredCircuit:
 
     def top_fanin(self) -> int:
         return sum(sm.count for sm in self.products)
-
-    def distinct_products(self) -> int:
-        return len(self.products)
 
     def product_var_vectors(self):
         """Per-product coordinate-wise variable degrees (factor masses sum)."""
@@ -301,8 +299,6 @@ class ExpansionReport:
     delta: int
     bound_ratio: float
     depth_bound_ok: bool
-    measure_ok: bool
-    measure_violations: int = 0
     out_size: Optional[int] = None
 
     def to_json_dict(self) -> dict:
@@ -365,13 +361,11 @@ def reduce_depth4(
     balanced: Circuit,
     t: int,
     budget: int = DEFAULT_BUDGET,
-    max_products: int = DEFAULT_MAX_PRODUCTS,
-    strict_measure: bool = True,
     s_stat: Optional[int] = None,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """Balanced circuit -> depth-4 layered form with every bottom
     polynomial of |Var| at most t."""
-    return _reduce_level(balanced, 2, t, s_stat, budget, max_products, strict_measure)
+    return _reduce_level(balanced, 2, t, s_stat, budget)
 
 
 def _reduce_level(
@@ -380,8 +374,6 @@ def _reduce_level(
     t: int,
     s_stat: Optional[int],
     budget: int,
-    max_products: int,
-    strict_measure: bool,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """One reduction level: explore to factors of |Var| at most t, then
     expand each factor gate (Delta = 2) or reduce its cone to product
@@ -441,7 +433,6 @@ def _reduce_level(
     heap = [(heap_key(root), root)]
     in_heap = {root}
     leaves: Dict[tuple, list] = {}
-    measure_violations = 0
     max_depth = 0
 
     while heap:
@@ -464,14 +455,11 @@ def _reduce_level(
             child = tuple(sorted(rest + list(fs)))
             if not scaling:
                 drop = parent_sum - varsum(child)
-                ok = 4 * drop >= t or heavy(child) >= parent_heavy + 1
-                if not ok:
-                    measure_violations += 1
-                    if strict_measure:
-                        raise NotBalanced(
-                            f"termination measure violated expanding gate {g}: "
-                            f"drop={drop}, heavy {parent_heavy}->{heavy(child)}, t={t}"
-                        )
+                if 4 * drop < t and heavy(child) <= parent_heavy:
+                    raise NotBalanced(
+                        f"termination measure violated expanding gate {g}: "
+                        f"drop={drop}, heavy {parent_heavy}->{heavy(child)}, t={t}"
+                    )
             child_coeff = coeff * sc % p
             entry = states.get(child)
             if entry is None and child in leaves:
@@ -482,9 +470,9 @@ def _reduce_level(
                 entry[2] = max(entry[2], depth + 1)
             else:
                 states[child] = [child_coeff, count, depth + 1]
-                if len(states) + len(leaves) > max_products:
+                if len(states) + len(leaves) > MAX_PRODUCTS:
                     raise ExpansionTooLarge(
-                        f"more than {max_products} distinct product nodes"
+                        f"more than {MAX_PRODUCTS} distinct product nodes"
                     )
                 if child not in in_heap:
                     heapq.heappush(heap, (heap_key(child), child))
@@ -501,16 +489,7 @@ def _reduce_level(
         pool = [expander.expand(g) for g in factor_gates]
     else:
         pool = [
-            _reduce_rec(
-                extract_subcircuit(balanced, g),
-                delta - 1,
-                t,
-                s,
-                None,
-                budget,
-                max_products,
-                strict_measure,
-            )[0]
+            _reduce_rec(extract_subcircuit(balanced, g), delta - 1, t, s, None, budget)[0]
             for g in factor_gates
         ]
     index = {g: i for i, g in enumerate(factor_gates)}
@@ -536,8 +515,6 @@ def _reduce_level(
         delta=delta,
         bound_ratio=math.log2(max(out_size, 1)) / envelope if envelope > 0 else float("inf"),
         depth_bound_ok=max_depth * t <= 20 * kn,
-        measure_ok=measure_violations == 0,
-        measure_violations=measure_violations,
         out_size=out_size,
     )
     return layered, report
@@ -571,8 +548,6 @@ def reduce_depth_delta(
     delta: int,
     t: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
-    max_products: int = DEFAULT_MAX_PRODUCTS,
-    strict_measure: bool = True,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """Full pipeline to product depth at most Delta: balance when the input
     is not already balanced, then run one reduction level at the
@@ -596,9 +571,7 @@ def reduce_depth_delta(
         bal, _ = balance(norm)
     k = max(inferred_k(bal), 1)
     potential = k * bal.n
-    return _reduce_rec(
-        bal, delta, potential, s_stat, t, budget, max_products, strict_measure
-    )
+    return _reduce_rec(bal, delta, potential, s_stat, t, budget)
 
 
 def _reduce_rec(
@@ -608,8 +581,6 @@ def _reduce_rec(
     s_stat: int,
     t: Optional[int],
     budget: int,
-    max_products: int,
-    strict_measure: bool,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """This level's threshold (t when given), then the level itself."""
     if t is not None:
@@ -619,5 +590,5 @@ def _reduce_rec(
         kn_here = max(inferred_k(bal), 1) * bal.n
         t_val = min(_threshold(potential, s_stat, delta), max(kn_here, 1))
     if delta == 2:
-        return reduce_depth4(bal, t_val, budget, max_products, strict_measure, s_stat)
-    return _reduce_level(bal, delta, t_val, s_stat, budget, max_products, strict_measure)
+        return reduce_depth4(bal, t_val, budget, s_stat)
+    return _reduce_level(bal, delta, t_val, s_stat, budget)

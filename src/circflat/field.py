@@ -71,9 +71,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.prime_modulus
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.prime_modulus
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.prime_modulus
 
@@ -84,9 +81,6 @@ class FieldSpec:
         if a % self.prime_modulus == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, self.prime_modulus - 2, self.prime_modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.prime_modulus)
 
 
 def lagrange_interpolate(xs, ys, field: FieldSpec):

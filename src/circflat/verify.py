@@ -7,14 +7,14 @@ the value of a gate is the sum of the values of all proof-trees rooted at
 it.  Cross-checking the two on small circuits validates both; randomized
 evaluation at points of a large prime field covers everything bigger.
 
-Structural reports are cheap scans.  Where the output's expansion fits the
-report's budget, the exact degree comes from a certificate, not an
-expansion: one forward sweep carries each gate's formal degree D and the
-leading coefficient of its value along the line lambda * a through a fixed
-seeded point a (see :func:`_certified_degree`).  A nonzero coefficient
-proves the degree is exactly D.  When it is zero (cancellation, the zero
-polynomial or an unlucky point), the report falls back to
-:func:`circflat.expand.brute_force_expand`.
+Structural reports are cheap scans.  The degree comes from a certificate,
+not an expansion: one forward sweep carries each gate's formal degree D and
+the leading coefficient of its value along the line lambda * a through a
+fixed seeded point a (see :func:`_certified_degree`).  A nonzero
+coefficient proves the degree is exactly D.  When it is zero
+(cancellation, the zero polynomial or an unlucky point), the report falls
+back to :func:`circflat.expand.brute_force_expand` within its budget, and
+above the budget it reports D as an upper bound, marked inexact.
 
 The enumerator carries each tree's exponent vector as one packed Python
 int, so a product adds keys instead of zipping tuples.  It shares the key
@@ -34,8 +34,8 @@ from typing import List, Optional, Tuple
 from . import backends
 from .analysis import compute_var
 from .circuit import ADD, CONST, INPUT, MUL, Circuit
-from .errors import IncompatibleArity, TooManyProofTrees
-from .expand import DEFAULT_BUDGET, brute_force_expand, expansion_bound
+from .errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
+from .expand import DEFAULT_BUDGET, brute_force_expand
 from .sparse import SparsePolynomial, key_width, unpack_keys, variable_key
 
 # ---------------------------------------------------------------------------
@@ -268,11 +268,8 @@ def random_equiv(a, b, trials: int = 20, seed: int = 0) -> EquivResult:
 @dataclass
 class StructuralReport:
     """Size, gate counts, depths, fan-ins and Var of one scan, and the
-    output's degree.  ``degree`` is exact when ``degree_exact``, and then
-    ``degree_lower_bound`` equals it.  Otherwise ``degree`` is None and,
-    despite its name, ``degree_lower_bound`` is the largest degree among
-    sampled proof-trees: cancellation between trees can put it above the
-    degree, so it bounds nothing."""
+    output's degree: exact when ``degree_exact``, otherwise an upper bound
+    (the formal degree)."""
 
     kind: str
     n: int
@@ -285,9 +282,8 @@ class StructuralReport:
     max_fanin_mul: int
     k: int
     var_output: int
-    degree: Optional[int]
+    degree: int
     degree_exact: bool
-    degree_lower_bound: int
     top_fanin: Optional[int] = None
 
     def to_json_dict(self) -> dict:
@@ -297,31 +293,9 @@ class StructuralReport:
         return d
 
 
-def _sampled_degree(circuit: Circuit, samples: int = 64, seed: int = 0) -> int:
-    """Largest degree among ``samples`` random proof-trees.  Not a bound on
-    the semantic degree either way: trees whose monomials cancel can push
-    it above the degree, and unsampled trees can hold a higher one."""
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(samples):
-        deg = 0
-        stack = [circuit.output]
-        while stack:
-            g = stack.pop()
-            gate = circuit.gates[g]
-            if gate.kind == INPUT:
-                deg += 1
-            elif gate.kind == ADD:
-                stack.append(rng.choice(gate.children))
-            elif gate.kind == MUL:
-                stack.extend(gate.children)
-        best = max(best, deg)
-    return best
-
-
-def _certified_degree(circuit: Circuit) -> Optional[int]:
-    """The exact degree of the output's polynomial when one evaluation
-    proves it, else None.
+def _certified_degree(circuit: Circuit) -> Tuple[int, bool]:
+    """The formal degree D of the output, and whether one evaluation proves
+    it is the degree of the output's polynomial.
 
     One sweep carries each gate's formal degree D (an input 1, a constant
     0, a sum the max over its children, a product their sum) and the
@@ -332,8 +306,8 @@ def _certified_degree(circuit: Circuit) -> Optional[int]:
     from above, and a nonzero coefficient at the output shows the degree-D
     part is a nonzero polynomial, so the degree is exactly D.  The proof
     uses no randomness and no division, so it holds at every prime.  The
-    point only decides how often the answer is None: a nonzero degree-D
-    part vanishes at a random point with chance at most D/p (Schwartz 1980).
+    point only decides how often the proof fails: a nonzero degree-D part
+    vanishes at a random point with chance at most D/p (Schwartz 1980).
     """
     p = circuit.field.p
     rng = random.Random(0)
@@ -356,19 +330,18 @@ def _certified_degree(circuit: Circuit) -> Optional[int]:
             top = max(deg[c] for c in gate.children)
             deg[g] = top
             lead[g] = sum(lead[c] for c in gate.children if deg[c] == top) % p
-    return deg[circuit.output] if lead[circuit.output] else None
+    return deg[circuit.output], lead[circuit.output] != 0
 
 
 def structural_report(obj, degree_budget: int = DEFAULT_BUDGET) -> StructuralReport:
     """Deterministic full scan of a circuit or a layered circuit (a layered
     circuit is scanned flattened).
 
-    When ``expansion_bound`` of the output is within ``degree_budget`` the
-    degree is exact: :func:`_certified_degree` proves it without expanding,
-    and only when it cannot (cancellation, the zero polynomial or an
-    unlucky point) does the report run ``brute_force_expand``.  Above the
-    budget the degree is None and ``degree_lower_bound`` holds the
-    proof-tree sample of :func:`_sampled_degree`, which is not a bound."""
+    :func:`_certified_degree` proves the exact degree without expanding.
+    Only when it cannot (cancellation, the zero polynomial or an unlucky
+    point) does the report run ``brute_force_expand`` within
+    ``degree_budget``; when that refuses, ``degree`` is the formal degree,
+    an upper bound, and ``degree_exact`` is false."""
     if isinstance(obj, Circuit):
         return _circuit_report(obj, degree_budget)
     return obj.structural_report(degree_budget)
@@ -396,17 +369,13 @@ def _circuit_report(circuit: Circuit, degree_budget: int) -> StructuralReport:
                 )
             else:
                 pblocks[g] = max(pblocks[c] for c in gate.children)
-    degree = None
-    exact = False
-    lower = 0
-    if expansion_bound(circuit, circuit.output) <= degree_budget:
-        degree = _certified_degree(circuit)
-        if degree is None:
+    degree, exact = _certified_degree(circuit)
+    if not exact:
+        try:
             degree = brute_force_expand(circuit, degree_budget).total_degree()
-        exact = True
-        lower = degree
-    else:
-        lower = _sampled_degree(circuit)
+            exact = True
+        except ExpansionTooLarge:
+            pass
     return StructuralReport(
         kind="circuit",
         n=circuit.n,
@@ -421,7 +390,6 @@ def _circuit_report(circuit: Circuit, degree_budget: int) -> StructuralReport:
         var_output=var.total(circuit.output),
         degree=degree,
         degree_exact=exact,
-        degree_lower_bound=lower,
     )
 
 

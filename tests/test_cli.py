@@ -50,7 +50,8 @@ def test_stats_json(pos_file, capsys):
 
 def test_stats_json_golden(tmp_path, capsys):
     """The whole `stats --json` output, exact degree included, is pinned:
-    it was recorded when the degree came from a full expansion."""
+    it is the output recorded when the degree came from a full expansion,
+    less the sampled-degree field reports no longer carry."""
     path = tmp_path / "rm.ckt"
     path.write_text(random_multilinear(60, 8, seed=3).serialize())
     assert run(["stats", path, "--json"]) == 0
@@ -58,7 +59,7 @@ def test_stats_json_golden(tmp_path, capsys):
     assert json.loads(out)["degree_exact"]
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "f321a310f5e8851f3951e1c92584ca83976fd3976138c45c5f7a9b1b250c55cd"
+        == "22eddc565592be5e8438c456a69ae0af533c18b7da77d3d7f7bb8d41e01d80e9"
     )
 
 

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import circflat.depth_reduce as depth_reduce
 from circflat import (
     balance,
     brute_force_expand,
@@ -17,6 +18,7 @@ from circflat import (
     reduce_depth4,
     reduce_depth_delta,
 )
+from circflat.balance import BalanceScan
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, InvalidParams, NotBalanced
 from circflat.expand import CircuitExpander
@@ -98,7 +100,6 @@ def test_depth4_pos_blocks(field):
     assert poly.num_terms() == 16
     assert all(v == 1 for v in poly.terms.values())
     assert max(layered.bottom_var_masses()) <= 2
-    assert rep.measure_ok
 
 
 def test_depth4_no_expansion_when_t_covers_output(field):
@@ -119,6 +120,21 @@ def test_depth4_requires_balanced(field):
     )
     with pytest.raises(NotBalanced):
         reduce_depth4(skew, 1)
+
+
+def test_violated_measure_raises(monkeypatch):
+    """With the balance scan bypassed, x1*x2 + x1 + x2 summed one child at a
+    time breaks the termination measure at the root: the summand x1*x2 + x1
+    keeps all of its Var mass and adds no heavy factor.  Every level refuses
+    that step."""
+    gates = [input_gate(1), input_gate(2), mul_gate((0, 1)), add_gate((2, 0)), add_gate((3, 1))]
+    c = build(2, gates)
+    scan = BalanceScan(size=c.size(), max_mul_fanin=2, max_add_fanin=2, halving_ok=True)
+    monkeypatch.setattr(depth_reduce, "check_balanced", lambda circuit: scan)
+    with pytest.raises(NotBalanced, match="termination measure"):
+        reduce_depth4(c, 1)
+    with pytest.raises(NotBalanced, match="termination measure"):
+        reduce_depth_delta(c, 3, t=1)
 
 
 def test_depth4_t_range(field):
@@ -147,7 +163,6 @@ def test_depth4_random_corpus_sample(field, seed):
     assert layered.expand() == brute_force_expand(orig)
     assert max(layered.bottom_var_masses(), default=0) <= sched.t_value
     assert rep.tree_depth * sched.t_value <= 20 * k * n
-    assert rep.measure_ok
     assert layered.max_var_coordinate() <= 1
 
 

@@ -27,7 +27,7 @@ from circflat import (
 from circflat.analysis import inferred_k
 from circflat.circuit import Circuit, Gate, add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
-from circflat.expand import expansion_bound
+from circflat.expand import DEFAULT_BUDGET, expansion_bound
 from circflat.field import FieldSpec
 from circflat.generators import (
     full_multilinear,
@@ -319,46 +319,64 @@ def cancelling_circuit():
     return build(3, gates)
 
 
-def test_sampled_degree_is_not_a_lower_bound():
-    """Above the budget the report's degree_lower_bound is a sampled
-    proof-tree degree; cancellation puts it above the real degree."""
+def test_uncertified_degree_above_budget_is_an_upper_bound():
+    """Cancellation defeats the certificate.  Above the budget the report
+    gives the formal degree 2, marked inexact, which bounds the real degree
+    1 from above; within the budget the expansion gives exactly 1."""
     c = cancelling_circuit()
-    sampled = structural_report(c, degree_budget=1)
-    assert sampled.degree is None and not sampled.degree_exact
-    assert sampled.degree_lower_bound == 2
+    bound = structural_report(c, degree_budget=1)
+    assert bound.degree == 2 and not bound.degree_exact
     exact = structural_report(c)
-    assert exact.degree == exact.degree_lower_bound == 1 and exact.degree_exact
+    assert exact.degree == 1 and exact.degree_exact
 
 
-def expanded_report(x) -> dict:
+def expanded_report(x, degree_budget=DEFAULT_BUDGET) -> dict:
     """The report with the degree certificate forced to fail, so every exact
     degree comes from brute_force_expand."""
-    with mock.patch.object(verify_module, "_certified_degree", lambda circuit: None):
-        return structural_report(x).to_json_dict()
+    real = verify_module._certified_degree
+    with mock.patch.object(
+        verify_module, "_certified_degree", lambda circuit: (real(circuit)[0], False)
+    ):
+        return structural_report(x, degree_budget).to_json_dict()
 
 
-def check_certified_report(x, oracle) -> None:
-    rep = structural_report(x).to_json_dict()
-    assert rep == expanded_report(x)
+def check_certified_report(x, oracle, degree_budget) -> None:
+    rep = structural_report(x, degree_budget).to_json_dict()
     if rep["degree_exact"]:
         assert rep["degree"] == oracle.total_degree()
+    else:
+        assert rep["degree"] >= oracle.total_degree()
+    # the certificate changes no field, except that it can make exact the
+    # formal degree an expansion over the budget leaves inexact
+    expanded = expanded_report(x, degree_budget)
+    if expanded["degree_exact"]:
+        assert rep == expanded
+    else:
+        assert rep | {"degree_exact": False} == expanded
 
 
 @settings(max_examples=100, deadline=None)
-@given(circuits(), st.sampled_from((2, 3, 5, 7, 10007, M31, M61, P62)))
-def test_certified_degree_matches_expansion_property(c, p):
-    """The certificate changes no report field, on inputs and on their
-    depth-2 results wherever balance accepts the field."""
+@given(
+    circuits(),
+    st.sampled_from((2, 3, 5, 7, 10007, M31, M61, P62)),
+    st.sampled_from((DEFAULT_BUDGET, 1)),
+)
+def test_certified_degree_matches_expansion_property(c, p, degree_budget):
+    """On inputs and on their depth-2 results wherever balance accepts the
+    field, an exact degree is the oracle's and matches the expansion's
+    report; an inexact one, left when the certificate fails above the
+    budget, bounds the oracle's degree from above."""
     c = at_prime(c, p)
     assume(expansion_bound(c, c.output) <= 1 << 16)
     oracle = brute_force_expand(c)
-    check_certified_report(c, oracle)
+    check_certified_report(c, oracle, degree_budget)
     if p > max(inferred_k(normalized(c)), 1):
         layered, _ = reduce_depth_delta(c, 2)
-        check_certified_report(layered, oracle)
+        check_certified_report(layered, oracle, degree_budget)
 
 
 def test_certifiable_report_expands_nothing(monkeypatch):
+    """The certificate proves the degree within the budget and above it."""
     c = full_multilinear(12)
     layered, _ = reduce_depth_delta(c, 2)
 
@@ -366,9 +384,10 @@ def test_certifiable_report_expands_nothing(monkeypatch):
         raise AssertionError("report expanded a certifiable circuit")
 
     monkeypatch.setattr(verify_module, "brute_force_expand", refuse)
-    for x in (c, layered):
-        rep = structural_report(x)
-        assert rep.degree == rep.degree_lower_bound == 12 and rep.degree_exact
+    for degree_budget in (DEFAULT_BUDGET, 1):
+        for x in (c, layered):
+            rep = structural_report(x, degree_budget)
+            assert rep.degree == 12 and rep.degree_exact
 
 
 def zero_circuit():
@@ -402,12 +421,12 @@ def test_certificate_edge_cases(make, degree, certifiable):
     the fixed point may or may not certify the degree; the report is the
     expansion's either way."""
     c = make()
-    got = verify_module._certified_degree(c)
+    formal, proved = verify_module._certified_degree(c)
     if certifiable is not None:
-        assert (got is not None) == certifiable
-    assert got in (None, degree)
+        assert proved == certifiable
+    assert formal >= degree and (formal == degree or not proved)
     rep = structural_report(c)
-    assert rep.degree == rep.degree_lower_bound == degree and rep.degree_exact
+    assert rep.degree == degree and rep.degree_exact
     assert rep.to_json_dict() == expanded_report(c)
 
 
@@ -415,45 +434,47 @@ def _reduced(make, delta):
     return lambda: reduce_depth_delta(balance(normalized(make()))[0], delta)[0]
 
 
-# sha256 of json.dumps(structural_report(x).to_json_dict(), sort_keys=True),
-# recorded when every exact report degree came from brute_force_expand.
+# sha256 of json.dumps(structural_report(x).to_json_dict(), sort_keys=True).
+# Each report equals the one recorded when every exact degree came from
+# brute_force_expand, less its old sampled-degree field; the Delta = 3
+# entry, above the budget, then had no degree and now has 12, certified.
 REPORT_GOLDEN = [
     (
         lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)),
-        "f9937550af4926b6c683f267c7052517be31792f5c8863886e1a0c4e23aaf529",
+        "db86def8296e462d806cff36a059a2d03ac0a8b11a6ee05772f876a079641f91",
     ),
     (
         _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)), 2),
-        "b4ce9e2875c882191d18aec30232d0e117d9ca07f6ca88647a34dff0601b8260",
+        "9749743f08f66be1c93c73941f03bbda4079f033557aad43ebc42a0ec4eb3aab",
     ),
     (
         lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M31)),
-        "5f61c2a6fa8743b7a9c4cca5cffde85cf80d8f7d28720fdbb9b8c322156a72db",
+        "e3cc1f280e880a78d060a82e63e424ef3c95ba96e713dd9f052d00e86021301f",
     ),
     (
         _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M31)), 2),
-        "2c83a7d7b65e59306eb685fff34a40059d337d91b2c7a40174bf852bd3998467",
+        "276e46b22bc1d9a74733dc4663b1b55fc3a68e51354079cc529f44a3d4e61c50",
     ),
     (
         lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(P62)),
-        "35e30e573ba3a86b369293ea0f93d34322af619f28ff895704282f301eaaa716",
+        "bc0f2b51dfbf29cf7218774bcd7f05c25cec361d3722a21b59c91057862049ed",
     ),
     (
         _reduced(lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(P62)), 2),
-        "b146413a1acb3bd6eaba05c440d1f495a5d4f90fb354cdb2551f35f193ed9ea9",
+        "e23e0f0a6e1c5520872e749a503ca869b5a5b54bec1385cb32615ef617bc98e4",
     ),
-    # above the budget: sampled degree
+    # above the budget: certified without expansion
     (
         _reduced(lambda: product_of_sums_power(6, 3, 2, field=FieldSpec(M31)), 3),
-        "8b9e7fda28da4028ed156856f178b7e8633189bb2049a1a173223517e3d2c4f8",
+        "5a147f363213bca1e89bce1a804a1dee615ccb0acb826522f14170d30e047aba",
     ),
     (
         lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)),
-        "6d1b65422280abe4985190d7a4f05b71b7ff7658bae45ea11f0c1950955fa96b",
+        "23a87c45db401cc75038095f266123fe0d01b0faee441f490cd8fc07033ab997",
     ),
     (
         _reduced(lambda: random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P62)), 2),
-        "3771c1378ab25678503c1617d35d959cd7b6034e6955a812bc446fb95eeeedae",
+        "32ae31b674d4381368f0ba185a06dfc4754220d3877cb6ef49f1a20a0fcf3d68",
     ),
 ]
 
