@@ -43,7 +43,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .analysis import compute_var, inferred_k, live_variable
+from .analysis import compute_var, inferred_k
 from .circuit import ADD, CONST, INPUT, MUL, Circuit, Gate, require_valid
 from .errors import FieldTooSmall, InvalidCircuit
 from .field import lagrange_interpolate
@@ -220,20 +220,27 @@ class _Balancer:
 
     # -- potentials ------------------------------------------------------
 
-    def potential_vector(self, key: NodeKey):
+    def _table(self, key: NodeKey):
         if key[0] == "plain":
-            return self.var.vector(key[1])
-        qt = quotient_table(self.c, key[2])
-        return qt.vector(key[1])
+            return self.var
+        return quotient_table(self.c, key[2])
+
+    def potential(self, key: NodeKey) -> int:
+        return self._table(key).totals[key[1]]
 
     # -- base-case evaluation ---------------------------------------------
 
-    def _rows(self, vec) -> list:
-        """Grid rows a base key of potential vector vec reads: the origin,
-        plus the k axis rows of its live variable if it has one."""
-        if sum(vec) == 0:
+    def _live(self, vec: int):
+        """0-based live variable of a packed vector of potential <= 1 (its
+        one nonzero field holds 1), or None for the zero vector."""
+        return (vec.bit_length() - 1) // self.var.bits if vec else None
+
+    def _rows(self, vec: int) -> list:
+        """Grid rows a base key of packed potential vector vec reads: the
+        origin, plus the k axis rows of its live variable if it has one."""
+        i = self._live(vec)
+        if i is None:
             return [0]
-        i = live_variable(vec)
         return [0] + list(range(1 + i * self.k, 1 + (i + 1) * self.k))
 
     def _plain_rows(self) -> list:
@@ -250,7 +257,7 @@ class _Balancer:
         if target not in self._sweeps:
             qt = quotient_table(self.c, target)
             reached = compress(range(self.c.num_gates), qt.reachable)
-            rows_of = {u: self._rows(qt.vector(u)) for u in reached if qt.totals[u] <= 1}
+            rows_of = {u: self._rows(qt.packed[u]) for u in reached if qt.totals[u] <= 1}
             rows = sorted(set().union(*rows_of.values()))
             plain = self._plain_rows()
             sweeps = quotient_values_batch(self.c, target, [plain[r] for r in rows])
@@ -261,16 +268,16 @@ class _Balancer:
         return self._sweeps[target]
 
     def base_node(self, key: NodeKey) -> int:
-        vec = self.potential_vector(key)
+        vec = self._table(key).packed[key[1]]
         self.base_case_count += 1
         if key[0] == "plain":
             plain = self._plain_rows()
             ys = [plain[r][key[1]] for r in self._rows(vec)]
         else:
             ys = self._sweep(key[2])[key[1]]
-        if sum(vec) == 0:
+        i = self._live(vec)
+        if i is None:
             return self.out.const(ys[0])
-        i = live_variable(vec)
         coeffs = lagrange_interpolate(list(range(self.k + 1)), ys, self.c.field)
         terms = []
         for j, cj in enumerate(coeffs):
@@ -313,7 +320,7 @@ class _Balancer:
     def node(self, key: NodeKey) -> int:
         if key in self.memo:
             return self.memo[key]
-        t = sum(self.potential_vector(key))
+        t = self.potential(key)
         if t <= 1:
             gid = self.base_node(key)
             self.memo[key] = gid
@@ -355,7 +362,7 @@ class _Balancer:
                 summands.append(self.out.const(1))
                 continue
             for f in factors:
-                assert 2 * sum(self.potential_vector(f)) <= t, (key, f)
+                assert 2 * self.potential(f) <= t, (key, f)
             ids = [self.node(f) for f in factors]
             summands.append(self.out.product(ids))
         gid = self.out.summation(summands)

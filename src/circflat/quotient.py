@@ -53,49 +53,60 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import backends
-from .analysis import VarVector, compute_var, vec_add, vec_max
+from .analysis import VarVector, compute_var
 from .circuit import ADD, MUL, Circuit, require_valid
 from .errors import InvalidCircuit, PreconditionViolated
 
 
 class QuotientTable:
-    """Reachability and Var(u:v) for every gate u against a fixed target v."""
+    """Reachability and Var(u:v) for every gate u against a fixed target v.
+
+    Vectors are packed like the plain Var table's, at its width, which
+    holds them too: every v-snipped proof-tree under u is a plain tree of u
+    with a subtree replaced by the leaf 1, so Var(u:v) <= Var(u)
+    coordinatewise.  ``packed[u]`` and ``totals[u]`` are None, and
+    :meth:`vector` returns None, for gates u that do not reach v.
+    """
 
     def __init__(self, circuit: Circuit, v: int):
         self.target = v
-        n = circuit.n
-        zero = (0,) * n
-        plain = compute_var(circuit)
+        self.plain = plain = compute_var(circuit)
+        fmax, fsum = plain.fmax, plain.fsum
+        plain_vecs, plain_totals = plain.packed, plain.totals
+        gates = circuit.gates
         ng = circuit.num_gates
-        reachable = [False] * ng
-        vectors: List[Optional[VarVector]] = [None] * ng
         # children precede parents, so no gate below v reaches it
-        reachable[v] = True
-        vectors[v] = zero
+        vectors: List[Optional[int]] = [None] * ng
+        totals: List[Optional[int]] = [None] * ng
+        vectors[v] = totals[v] = 0
         for g in range(v + 1, ng):
-            gate = circuit.gates[g]
+            gate = gates[g]
             if gate.kind == ADD:
                 acc = None
                 for c in gate.children:
-                    if reachable[c]:
-                        acc = vectors[c] if acc is None else vec_max(acc, vectors[c])
+                    vc = vectors[c]
+                    if vc is not None:
+                        acc = vc if acc is None else fmax(acc, vc)
                 if acc is not None:
-                    reachable[g] = True
                     vectors[g] = acc
+                    totals[g] = fsum(acc)
             elif gate.kind == MUL:
                 last = gate.children[-1]
-                if reachable[last]:
-                    acc = vectors[last]
+                acc = vectors[last]
+                if acc is not None:
+                    t = totals[last]
                     for c in gate.children[:-1]:
-                        acc = vec_add(acc, plain.vector(c))
-                    reachable[g] = True
+                        acc += plain_vecs[c]
+                        t += plain_totals[c]
                     vectors[g] = acc
-        self.reachable = reachable
-        self.vectors = vectors
-        self.totals = [sum(vec) if vec is not None else None for vec in vectors]
+                    totals[g] = t
+        self.packed = vectors
+        self.totals = totals
+        self.reachable = [vec is not None for vec in vectors]
 
     def vector(self, g: int) -> Optional[VarVector]:
-        return self.vectors[g]
+        vec = self.packed[g]
+        return None if vec is None else self.plain.unpack(vec)
 
     def total(self, g: int) -> Optional[int]:
         return self.totals[g]
