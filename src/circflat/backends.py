@@ -11,10 +11,18 @@ picks the dtype from the prime.
 
 The gate-program encoding consumed by the evaluation kernels is built in
 ``circuit.py``: per-gate kind codes, a payload word (variable index or
-constant value) and a flattened child list with offsets.  Sparse
-polynomials are evaluated from an exponent matrix by :func:`eval_terms`,
-vectorized over terms in chunks of bounded size.
+constant value) and a flattened child list with offsets.
+:func:`eval_program` evaluates it level by level: a gate's level is one
+more than the largest of its children's, and all the sums, then all the
+products, of one level take a few numpy calls together (gathers, then one
+addmod or segment sum, or one multiply per child slot), in blocks of at
+most ``LEVEL_BLOCK`` words.  ``Circuit.evaluate_batch`` passes its points
+in chunks whose (gates, points) table holds at most ``TABLE_BLOCK`` words.
+Sparse polynomials are evaluated from an exponent matrix by
+:func:`eval_terms`, vectorized over terms in chunks of bounded size.
 """
+
+import functools
 
 import numpy as np
 
@@ -39,6 +47,14 @@ MAX_MERGE_TERMS = 1 << 21
 # mulmod keeps about ten block-sized temporaries alive, so a 2^12-word
 # (32 KB) block costs a few hundred KB; larger blocks ran no faster.
 TERM_BLOCK = 1 << 12
+
+# eval_program works on each level in blocks of at most LEVEL_BLOCK words
+# (gates, or child edges of sums, times points), and Circuit.evaluate_batch
+# splits its points so that one (gates, points) table holds at most
+# TABLE_BLOCK words.  Whole-level Mersenne mulmods and whole-batch object
+# tables would cost megabytes at 256 points.
+LEVEL_BLOCK = 1 << 12
+TABLE_BLOCK = 1 << 15
 
 
 def active_backend() -> str:
@@ -87,34 +103,111 @@ def addmod_vec(a, b, p):
 
 
 def eval_program(kinds, payload, child_off, children, points, p):
-    """Evaluate every gate of an encoded circuit at a batch of points.
+    """Evaluate every gate of an encoded circuit at a batch of points,
+    level by level.
 
+    A gate's level is 1 + the largest level of its children; inputs and
+    constants are level 0, so a level reads only the levels below it.  Each
+    level's sums and then its products are evaluated together, in blocks of
+    at most ``LEVEL_BLOCK`` words (:func:`_sums`, :func:`_products`).
     Returns a (ngates, npoints) table of values mod p, of
     ``field_dtype(p)``; the payload must have that dtype too.
     """
     dtype = field_dtype(p)
     p = dtype.type(int(p))
-    ngates = kinds.shape[0]
-    npts = points.shape[0]
-    vals = np.zeros((ngates, npts), dtype=dtype)
-    for g in range(ngates):
-        k = kinds[g]
-        if k == KIND_INPUT:
-            vals[g] = points[:, int(payload[g])]
-        elif k == KIND_CONST:
-            vals[g, :] = payload[g]
-        else:
-            lo = int(child_off[g])
-            hi = int(child_off[g + 1])
-            acc = vals[children[lo]].copy()
-            if k == KIND_ADD:
-                for idx in range(lo + 1, hi):
-                    acc = addmod_vec(acc, vals[children[idx]], p)
-            else:
-                for idx in range(lo + 1, hi):
-                    acc = mulmod_vec(acc, vals[children[idx]], p)
-            vals[g] = acc
+    vals = np.empty((kinds.shape[0], points.shape[0]), dtype=dtype)
+    inputs = np.flatnonzero(kinds == KIND_INPUT)
+    vals[inputs] = points.T[payload[inputs].astype(np.intp)]
+    consts = np.flatnonzero(kinds == KIND_CONST)
+    vals[consts] = payload[consts, None]
+    step = max(1, LEVEL_BLOCK // max(points.shape[0], 1))
+    gates, fan, groups = _schedule(
+        kinds.astype(np.int8, copy=False).tobytes(),
+        child_off.astype(np.int64, copy=False).tobytes(),
+        children.astype(np.int64, copy=False).tobytes(),
+    )
+    first = child_off[gates]
+    for lo, hi, kernel in groups:
+        kernel(vals, gates[lo:hi], fan[lo:hi], first[lo:hi], children, p, step)
     return vals
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule(kinds, child_off, children):
+    """The sum and product gates of a program, from the bytes of its int8
+    kinds and int64 offsets and children, in evaluation order: by level,
+    and within a level the sums of fan-in other than 2, the fan-in-2 sums
+    and the products, each by fan-in, largest first.  Returns those gates,
+    their fan-ins and one (lo, hi, kernel) range per level and kernel.
+    ``Circuit.evaluate_batch`` calls :func:`eval_program` once per chunk of
+    points with the same program, so the last few schedules are kept."""
+    kinds = np.frombuffer(kinds, dtype=np.int8)
+    child_off = np.frombuffer(child_off, dtype=np.int64)
+    gates = np.flatnonzero(kinds >= KIND_ADD)
+    kids = memoryview(children).cast("q")  # int64 child ids, no list of ints
+    level = [0] * kinds.shape[0]
+    at = level.__getitem__
+    for g, lo, hi in zip(gates.tolist(), child_off[gates].tolist(), child_off[gates + 1].tolist()):
+        level[g] = 1 + max(map(at, kids[lo:hi]))
+    fan = child_off[gates + 1] - child_off[gates]
+    # kernel code: 0 segment sums, 1 pair sums, 2 products
+    code = np.where(kinds[gates] == KIND_MUL, 2, fan == 2)
+    key = 3 * np.asarray(level)[gates] + code
+    order = np.lexsort((-fan, key))
+    gates, fan, key = gates[order], fan[order], key[order]
+    gates.flags.writeable = fan.flags.writeable = False  # shared by every caller
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), gates.shape[0]]
+    return gates, fan, tuple(
+        (lo, hi, _KERNELS[key[lo] % 3]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+    )
+
+
+def _products(vals, gates, fan, first, children, p, step):
+    """One level's products, fan-ins descending, in blocks of ``step``
+    gates: one gather of every first child, then per child slot j one
+    gather and one multiply for the leading gates whose fan-in exceeds j.
+    Object blocks are reduced once, after the last slot."""
+    wide = vals.dtype == object
+    for lo in range(0, gates.shape[0], step):
+        f = fan[lo : lo + step].tolist()
+        at = first[lo : lo + step]
+        acc = vals[children[at]]
+        m = len(f)
+        for j in range(1, f[0]):
+            while f[m - 1] <= j:  # the gates with fan-in above j: a prefix
+                m -= 1
+            factor = vals[children[at[:m] + j]]
+            acc[:m] = acc[:m] * factor if wide else mulmod_vec(acc[:m], factor, p)
+        vals[gates[lo : lo + step]] = acc % p if wide else acc
+
+
+def _pair_sums(vals, gates, fan, first, children, p, step):
+    """One level's fan-in-2 sums, ``step`` gates at a time: one addmod of
+    their gathered first and second children."""
+    for lo in range(0, gates.shape[0], step):
+        at = first[lo : lo + step]
+        vals[gates[lo : lo + step]] = addmod_vec(vals[children[at]], vals[children[at + 1]], p)
+
+
+def _sums(vals, gates, fan, first, children, p, step):
+    """One level's other sums: segment sums over blocks of ``step`` child
+    edges, where a gate's children may run on into the next block."""
+    ends = np.cumsum(fan)
+    starts = ends - fan
+    edges = children[np.repeat(first - starts, fan) + np.arange(ends[-1])]
+    longest = min(int(fan[0]), step)
+    for e0 in range(0, int(ends[-1]), step):
+        g0 = np.searchsorted(ends, e0, side="right")  # first gate ending past e0
+        g1 = np.searchsorted(starts, e0 + step)  # gates starting in this block
+        part = _sum_segments(
+            vals[edges[e0 : e0 + step]], np.maximum(starts[g0:g1] - e0, 0), longest, p
+        )
+        if starts[g0] < e0:  # its sum so far, from the blocks before
+            part[0] = addmod_vec(part[0], vals[gates[g0]], p)
+        vals[gates[g0:g1]] = part
+
+
+_KERNELS = (_sums, _pair_sums, _products)
 
 
 def _join_halves(shi, slo, p):
@@ -124,14 +217,17 @@ def _join_halves(shi, slo, p):
     return addmod_vec(mulmod_vec(shi % p, shift, p), slo % p, p)
 
 
-def _sum_rows(block, p):
-    """Column sums mod p of a (rows, points) block of values.  Python ints
-    are summed directly.  When the rows could overflow one uint64 sum, the
+def _sum_segments(rows, starts, longest, p):
+    """Sums mod p of the segments of a (rows, points) block that begin at
+    the rows ``starts``, each at most ``longest`` rows long.  Python ints
+    are summed directly.  When a segment could overflow one uint64 sum, the
     high and the low 32-bit halves are summed apart."""
-    if block.dtype == object or block.shape[0] <= ((1 << 64) - 1) // (int(p) - 1):
-        return block.sum(axis=0) % p
+    if rows.dtype == object or longest <= ((1 << 64) - 1) // (int(p) - 1):
+        return np.add.reduceat(rows, starts, axis=0) % p
     return _join_halves(
-        (block >> np.uint64(32)).sum(axis=0), (block & _MASK32).sum(axis=0), p
+        np.add.reduceat(rows >> np.uint64(32), starts, axis=0),
+        np.add.reduceat(rows & _MASK32, starts, axis=0),
+        p,
     )
 
 
@@ -226,7 +322,8 @@ def eval_terms(exps, coeffs, points, p):
         for j in range(used.size):
             power = pows[sub[:, j], j]
             block = block * power if dtype == object else mulmod_vec(block, power, p)
-        part = _sum_rows(np.broadcast_to(block, (sub.shape[0], npts)), p)
+        rows = np.broadcast_to(block, (sub.shape[0], npts))
+        part = _sum_segments(rows, [0], sub.shape[0], p)[0]
         acc = part if acc is None else addmod_vec(acc, part, p)
     return acc
 

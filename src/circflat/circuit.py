@@ -143,21 +143,18 @@ class Circuit:
         """Encoded arrays for the batched kernels (cached).  The payload has
         the kernels' element dtype, so constants of any prime fit."""
         if self._program is None:
-            ng = self.num_gates
-            kinds = np.zeros(ng, dtype=np.int8)
-            payload = np.zeros(ng, dtype=backends.field_dtype(self.field.p))
-            offs = np.zeros(ng + 1, dtype=np.int64)
-            flat = []
-            for i, g in enumerate(self.gates):
-                kinds[i] = _KIND_CODE[g.kind]
-                if g.kind == INPUT:
-                    payload[i] = g.var - 1
-                elif g.kind == CONST:
-                    payload[i] = g.value
+            kinds, payload, offs, flat = [], [], [0], []
+            for g in self.gates:
+                kinds.append(_KIND_CODE[g.kind])
+                payload.append(g.var - 1 if g.kind == INPUT else g.value or 0)
                 flat.extend(g.children)
-                offs[i + 1] = len(flat)
-            children = np.asarray(flat, dtype=np.int64)
-            self._program = (kinds, payload, offs, children)
+                offs.append(len(flat))
+            self._program = (
+                np.array(kinds, dtype=np.int8),
+                np.array(payload, dtype=backends.field_dtype(self.field.p)),
+                np.array(offs, dtype=np.int64),
+                np.array(flat, dtype=np.int64),
+            )
         return self._program
 
     def eval_table(self, points: np.ndarray) -> np.ndarray:
@@ -169,8 +166,14 @@ class Circuit:
         return backends.eval_program(kinds, payload, offs, children, points, self.field.p)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Output-gate values at a batch of points."""
-        return self.eval_table(points)[self.output]
+        """Output-gate values at a batch of points.  The points go through
+        :meth:`eval_table` in chunks whose table holds at most
+        ``backends.TABLE_BLOCK`` words, and only the output row is kept."""
+        out = np.empty(points.shape[0], dtype=backends.field_dtype(self.field.p))
+        step = max(1, backends.TABLE_BLOCK // self.num_gates)
+        for lo in range(0, points.shape[0], step):
+            out[lo : lo + step] = self.eval_table(points[lo : lo + step])[self.output]
+        return out
 
     def gate_values(self, point) -> list:
         """Values of every gate at a single point, as Python ints, by one

@@ -23,7 +23,7 @@ same level step with a smaller threshold.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -105,14 +105,16 @@ class Summand:
 
 class LayeredCircuit:
     """Explicit (Sigma Pi)^Delta form: a top sum of products over a pool of
-    either sparse polynomials (Delta = 2) or nested layered circuits."""
+    either sparse polynomials (Delta = 2) or nested layered circuits.
+    Immutable: the flattened circuit is built once and cached."""
 
     def __init__(self, n, field, delta, pool, products):
         self.n = n
         self.field = field
         self.delta = delta
-        self.pool: List[Union[SparsePolynomial, "LayeredCircuit"]] = pool
-        self.products: List[Summand] = products
+        self.pool: Tuple[Union[SparsePolynomial, "LayeredCircuit"], ...] = tuple(pool)
+        self.products: Tuple[Summand, ...] = tuple(products)
+        self._flat: Optional[Circuit] = None
 
     # -- accounting ------------------------------------------------------
 
@@ -166,19 +168,9 @@ class LayeredCircuit:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_batch(self, points: np.ndarray):
-        """Values at each row of points, of ``backends.field_dtype(p)``."""
-        p = self.field.p
-        dtype = backends.field_dtype(p)
-        pw = dtype.type(p)
-        pool_vals = [entry.evaluate_batch(points) for entry in self.pool]
-        npts = points.shape[0]
-        acc = np.zeros(npts, dtype=dtype)
-        for sm in self.products:
-            term = np.full(npts, sm.coeff % p, dtype=dtype)
-            for r in sm.factors:
-                term = backends.mulmod_vec(term, pool_vals[r], pw)
-            acc = backends.addmod_vec(acc, term, pw)
-        return acc
+        """Values at each row of points, of ``backends.field_dtype(p)``:
+        the flattened circuit's batch evaluation."""
+        return self.flatten().evaluate_batch(points)
 
     def evaluate(self, point) -> int:
         p = self.field.p
@@ -223,12 +215,19 @@ class LayeredCircuit:
     # -- flattening -----------------------------------------------------------
 
     def flatten(self, name: str = "layered") -> Circuit:
-        """Rewrite as a generic circuit (layers become gates)."""
-        from .balance import _Builder
+        """Rewrite as a generic circuit (layers become gates).  The circuit
+        is built on the first call and cached; another name gives a renamed
+        circuit over the same gates tuple."""
+        if self._flat is None:
+            from .balance import _Builder
 
-        b = _Builder(self.n, self.field)
-        out = self._flatten_into(b)
-        return Circuit(self.n, b.gates, out, field=self.field, name=name)
+            b = _Builder(self.n, self.field)
+            out = self._flatten_into(b)
+            self._flat = Circuit(self.n, b.gates, out, field=self.field, name="layered")
+        flat = self._flat
+        if name == flat.name:
+            return flat
+        return Circuit(flat.n, flat.gates, flat.output, field=flat.field, name=name)
 
     def _flatten_into(self, b) -> int:
         def poly_gate(poly: SparsePolynomial) -> int:
@@ -289,6 +288,10 @@ class LayeredCircuit:
 
 @dataclass
 class ExpansionReport:
+    """Statistics of one reduction level.  ``out_size`` and ``bound_ratio``
+    read the result's cached flattening, so a nested level whose report is
+    discarded never flattens."""
+
     top_fanin: int
     distinct_products: int
     tree_depth: int
@@ -297,12 +300,28 @@ class ExpansionReport:
     k: int
     s: int
     delta: int
-    bound_ratio: float
     depth_bound_ok: bool
-    out_size: Optional[int] = None
+    result: LayeredCircuit = field(repr=False, compare=False)
+
+    _JSON_KEYS = (
+        "top_fanin", "distinct_products", "tree_depth", "t", "n", "k", "s", "delta",
+        "bound_ratio", "depth_bound_ok", "out_size",
+    )
+
+    @property
+    def out_size(self) -> int:
+        """Edges of the flattened result."""
+        return self.result.flatten().size()
+
+    @property
+    def bound_ratio(self) -> float:
+        """log2(out_size) over the envelope k*t + (kn/t)*log2(s)."""
+        kn = max(self.k * self.n, 1)
+        envelope = self.k * self.t + (kn / self.t) * math.log2(max(self.s, 2))
+        return math.log2(max(self.out_size, 1)) / envelope if envelope > 0 else float("inf")
 
     def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
+        d = {key: getattr(self, key) for key in self._JSON_KEYS}
         d["top_fanin"] = int(d["top_fanin"])
         return d
 
@@ -502,8 +521,6 @@ def _reduce_level(
         products.append(Summand(count=count, coeff=coeff, factors=tuple(index[f] for f in fac)))
 
     layered = LayeredCircuit(n, balanced.field, delta, pool, products)
-    out_size = layered.flatten().size()
-    envelope = k * t + (kn / t) * math.log2(max(s, 2))
     report = ExpansionReport(
         top_fanin=top_fanin,
         distinct_products=len(products),
@@ -513,9 +530,8 @@ def _reduce_level(
         k=k,
         s=s,
         delta=delta,
-        bound_ratio=math.log2(max(out_size, 1)) / envelope if envelope > 0 else float("inf"),
         depth_bound_ok=max_depth * t <= 20 * kn,
-        out_size=out_size,
+        result=layered,
     )
     return layered, report
 
@@ -571,7 +587,11 @@ def reduce_depth_delta(
         bal, _ = balance(norm)
     k = max(inferred_k(bal), 1)
     potential = k * bal.n
-    return _reduce_rec(bal, delta, potential, s_stat, t, budget)
+    layered, report = _reduce_rec(bal, delta, potential, s_stat, t, budget)
+    # flattened here, once: out_size, evaluation, expansion, reports and
+    # serialization all read this circuit
+    layered.flatten()
+    return layered, report
 
 
 def _reduce_rec(

@@ -2,6 +2,7 @@
 reference."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from circflat import (
     Summand,
     backends,
     brute_force_expand,
+    product_of_sums_power,
+    random_multilinear,
     reduce_depth_delta,
 )
+from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, FieldTooSmall
 from circflat.field import MERSENNE61, FieldSpec
 from circflat.sparse import SparsePolynomial
 
-from conftest import at_prime
+from conftest import at_prime, build
 from test_var import circuits
 
 PRIMES = [MERSENNE61, 10007, 2]
@@ -168,6 +172,104 @@ def test_batch_evaluators_match_per_point_property(c, p, seed):
     except FieldTooSmall:
         return  # balance interpolates at k + 1 distinct points; p <= k
     check(layered.evaluate_batch(points))
+
+
+# -- level-by-level eval_program ------------------------------------------------
+
+# both word kernels, the small primes, and object arrays at 2^62 - 57
+LEVEL_PRIMES = [2, 3, 5, 7, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57]
+
+
+def _points(n, p, npts, seed):
+    """npts random points, then one with every coordinate p - 1."""
+    top = np.full((1, n), p - 1, dtype=np.uint64)
+    return np.vstack([backends.random_point_batch(seed, npts, n, p), top])
+
+
+def _assert_table_is_gate_values(c, points):
+    table = c.eval_table(points)
+    assert table.dtype == backends.field_dtype(c.field.p)
+    assert table.T.tolist() == [c.gate_values(pt) for pt in points.tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits(max_fanin=4), st.sampled_from(LEVEL_PRIMES), st.integers(0, 1 << 16))
+def test_eval_table_matches_gate_values_property(c, p, seed):
+    """Every gate's row of the level-by-level table equals the plain Python
+    sweep, with sums and products of fan-in 2 to 4 sharing levels."""
+    _assert_table_is_gate_values(at_prime(c, p), _points(c.n, p, 4, seed))
+
+
+@pytest.mark.parametrize("npts", [1, 20])
+def test_wide_sum_of_top_values(npts):
+    # 2^12 children of p - 1 at 2^61 - 1: one uint64 sum of more than 8 of
+    # them would overflow, so the 32-bit halves are summed apart.  At 1 point
+    # the sum fills one block; at 20 points its children span many.
+    p = int(MERSENNE61)
+    fanin = 1 << 12
+    gates = [input_gate(1), const_gate(p - 1), add_gate([0, 1] * (fanin // 2))]
+    c = build(1, gates, field=FieldSpec(p))
+    points = np.full((npts, 1), p - 1, dtype=np.uint64)
+    assert c.eval_table(points)[2].tolist() == [fanin * (p - 1) % p] * npts
+    assert c.evaluate_batch(points).tolist() == [fanin * (p - 1) % p] * npts
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, MERSENNE61, (1 << 62) - 57])
+def test_one_level_of_products_with_fan_in_1_to_5(p):
+    # every product reads inputs only, so all share level 1 and each child
+    # slot multiplies a different prefix of them
+    gates = [input_gate(i) for i in range(1, 6)]
+    for fanin in (3, 1, 5, 2, 4, 5, 1, 2):
+        gates.append(mul_gate([(fanin + j) % 5 for j in range(fanin)]))
+    gates.append(add_gate(range(5, len(gates))))
+    _assert_table_is_gate_values(build(5, gates, field=FieldSpec(p)), _points(5, p, 20, 1))
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57])
+def test_level_wider_than_one_block(p):
+    # At 256 points a block holds LEVEL_BLOCK / 256 gates or sum edges.  The
+    # level above the inputs has several blocks of pair sums, fan-in-3 sums
+    # (whose children straddle the block edges) and products of fan-in 1-4,
+    # and the top sum's children span many blocks.
+    n, npts = 6, 256
+    width = 3 * (backends.LEVEL_BLOCK // npts) + 5
+    gates = [input_gate(i) for i in range(1, n + 1)]
+    for g in range(width):
+        gates.append(add_gate([g % n, (g + 1) % n]))
+        gates.append(add_gate([(g + j) % n for j in range(3)]))
+        gates.append(mul_gate([(g + j) % n for j in range(1 + g % 4)]))
+    gates.append(add_gate(range(n, len(gates))))
+    _assert_table_is_gate_values(build(n, gates, field=FieldSpec(p)), _points(n, p, npts - 1, 2))
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57])
+def test_evaluate_batch_in_chunks(p):
+    c = random_multilinear(60, 6, seed=5, field=FieldSpec(p))
+    chunk = backends.TABLE_BLOCK // c.num_gates
+    dtype = backends.field_dtype(p)
+    for npts in (0, 1, 2 * chunk + 3):
+        points = _points(c.n, p, npts, 3)[1:]  # the last of them all p - 1
+        got = c.evaluate_batch(points)
+        assert got.dtype == dtype and got.shape == (npts,)
+        assert got.tolist() == [c.evaluate(pt) for pt in points.tolist()]
+
+
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57])
+def test_layered_evaluate_batch_memory(p):
+    # product_of_sums_power(6, 3, 2) at Delta = 2 flattens to 275 gates.  At
+    # 256 points one whole table and whole-level Mersenne mulmods peaked at
+    # 4.3-4.8 MiB; in blocks and chunks, at 0.7-1.6 MiB.
+    c = product_of_sums_power(6, 3, 2, field=FieldSpec(p))
+    layered, _ = reduce_depth_delta(c, 2)
+    points = backends.random_point_batch(0, 256, c.n, p)
+    tracemalloc.start()
+    try:
+        got = layered.evaluate_batch(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [c.evaluate(pt) for pt in points.tolist()]
+    assert peak < 5 << 19
 
 
 def test_random_points_deterministic():

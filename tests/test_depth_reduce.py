@@ -5,10 +5,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 import circflat.depth_reduce as depth_reduce
 from circflat import (
+    LayeredCircuit,
+    backends,
     balance,
     brute_force_expand,
     choose_t,
@@ -17,17 +20,21 @@ from circflat import (
     random_equiv,
     reduce_depth4,
     reduce_depth_delta,
+    structural_report,
 )
 from circflat.balance import BalanceScan
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, InvalidParams, NotBalanced
 from circflat.expand import CircuitExpander
+from circflat.field import FieldSpec
 from circflat.generators import (
     product_of_sums,
+    product_of_sums_power,
     random_multi_k_ic,
     random_multilinear,
 )
 from circflat.normalize import normalized
+from circflat.sparse import SparsePolynomial
 
 from conftest import build, pos22
 
@@ -403,3 +410,108 @@ def test_layered_evaluate_above_word_primes():
     point = [(1 << 88) + 977 * i + 5 for i in range(c.n)]
     assert layered.evaluate(point) == layered.flatten().evaluate(point)
     assert layered.evaluate(point) == c.evaluate(point)
+
+
+# -- one flattening per result ----------------------------------------------------
+
+
+def _pool_product_loop(layered, points):
+    """Layered evaluation without flattening: every pool entry at every
+    point (nested layered entries the same way), then each summand's
+    coefficient times its factors, summed."""
+    p = layered.field.p
+    dtype = backends.field_dtype(p)
+    pw = dtype.type(p)
+    pool_vals = [
+        entry.evaluate_batch(points)
+        if isinstance(entry, SparsePolynomial)
+        else _pool_product_loop(entry, points)
+        for entry in layered.pool
+    ]
+    acc = np.zeros(points.shape[0], dtype=dtype)
+    for sm in layered.products:
+        term = np.full(points.shape[0], sm.coeff % p, dtype=dtype)
+        for r in sm.factors:
+            term = backends.mulmod_vec(term, pool_vals[r], pw)
+        acc = backends.addmod_vec(acc, term, pw)
+    return acc
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57])
+def test_layered_evaluate_batch_matches_pool_product_loop(p, delta):
+    field = FieldSpec(p)
+    for orig in (
+        random_multilinear(60, 8, seed=3, field=field),
+        product_of_sums_power(6, 3, 2, field=field),
+    ):
+        layered, _ = reduce_depth_delta(orig, delta)
+        points = np.vstack(
+            [
+                backends.random_point_batch(5, 40, orig.n, p),
+                np.full((1, orig.n), p - 1, dtype=np.uint64),
+            ]
+        )
+        want = _pool_product_loop(layered, points).tolist()
+        assert layered.evaluate_batch(points).tolist() == want
+
+
+def test_flatten_is_cached_and_renamed_over_the_same_gates(field):
+    layered, _ = reduce_depth_delta(random_multilinear(40, 6, seed=1, field=field), 2)
+    assert isinstance(layered.pool, tuple) and isinstance(layered.products, tuple)
+    flat = layered.flatten()
+    assert layered.flatten() is flat and flat.name == "layered"
+    named = layered.flatten(name="x")
+    assert named.name == "x" and named.structurally_equal(flat)
+    assert named.gates is flat.gates
+    assert layered.flatten() is flat
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4])
+def test_reduction_flattens_only_its_result_once(monkeypatch, delta):
+    # nested levels never flatten (their out_size is never read); the
+    # result is built once, by reduce_depth_delta, and then serves the
+    # report, evaluation, expansion and renaming
+    flattened, built = [], []
+    flatten, flatten_into = LayeredCircuit.flatten, LayeredCircuit._flatten_into
+
+    def spy_flatten(self, *args, **kwargs):
+        flattened.append(self)
+        return flatten(self, *args, **kwargs)
+
+    def spy_flatten_into(self, b):
+        built.append(self)
+        return flatten_into(self, b)
+
+    monkeypatch.setattr(LayeredCircuit, "flatten", spy_flatten)
+    monkeypatch.setattr(LayeredCircuit, "_flatten_into", spy_flatten_into)
+    orig = random_multilinear(60, 8, seed=2)
+    layered, rep = reduce_depth_delta(orig, delta)
+    assert built and built[0] is layered
+    assert rep.out_size == layered.flatten().size() and rep.bound_ratio > 0
+    assert random_equiv(orig, layered, 8, 1).equivalent
+    assert layered.expand() == brute_force_expand(orig)
+    structural_report(layered)
+    layered.flatten(name="x")
+    assert all(x is layered for x in flattened)
+    assert sum(1 for x in built if x is layered) == 1
+    if delta > 2:
+        assert any(isinstance(e, LayeredCircuit) for e in layered.pool)
+
+
+def test_expansion_report_json_keys():
+    # the order of reduce --report's keys
+    _, rep = reduce_depth_delta(random_multilinear(40, 6, seed=1), 3)
+    assert list(rep.to_json_dict()) == [
+        "top_fanin",
+        "distinct_products",
+        "tree_depth",
+        "t",
+        "n",
+        "k",
+        "s",
+        "delta",
+        "bound_ratio",
+        "depth_bound_ok",
+        "out_size",
+    ]
