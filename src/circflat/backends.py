@@ -1,25 +1,24 @@
-"""Kernels for field arithmetic, circuit evaluation and sparse-polynomial
-evaluation, written with numpy.
+"""Kernels for field arithmetic and circuit evaluation, written with numpy.
 
 Word arithmetic on uint64 arrays is available for two families of primes:
 the Mersenne prime 2^61 - 1 (products are reduced with shift/mask folding,
 no 128-bit intermediate needed) and any prime below 2^31 (products fit a
-64-bit word directly).  For every other prime the evaluation kernels
-(:func:`eval_program`, :func:`eval_terms`) run the same code on object
-arrays of Python ints, whose products never overflow; :func:`field_dtype`
-picks the dtype from the prime.
+64-bit word directly).  For every other prime the evaluator
+(:func:`eval_program`) runs the same code on object arrays of Python ints,
+whose products never overflow; :func:`field_dtype` picks the dtype from
+the prime.
 
-The gate-program encoding consumed by the evaluation kernels is built in
-``circuit.py``: per-gate kind codes, a payload word (variable index or
-constant value) and a flattened child list with offsets.
-:func:`eval_program` evaluates it level by level: a gate's level is one
+:func:`eval_program` is the one batched evaluator.  Its gate-program
+encoding is built in ``circuit.py``: per-gate kind codes, a payload word
+(variable index or constant value) and a flattened child list with
+offsets.  It evaluates the program level by level: a gate's level is one
 more than the largest of its children's, and all the sums, then all the
 products, of one level take a few numpy calls together (gathers, then one
 addmod or segment sum, or one multiply per child slot), in blocks of at
 most ``LEVEL_BLOCK`` words.  ``Circuit.evaluate_batch`` passes its points
 in chunks whose (gates, points) table holds at most ``TABLE_BLOCK`` words.
-Sparse polynomials are evaluated from an exponent matrix by
-:func:`eval_terms`, vectorized over terms in chunks of bounded size.
+Sparse polynomials and layered circuits are evaluated as the circuits
+they flatten to, a sparse polynomial as its sum of monomials.
 """
 
 import functools
@@ -41,12 +40,6 @@ KIND_MUL = 3
 # could lose bits, so the packed kernels raise ExpansionTooLarge (the
 # default expansion budget is below this).
 MAX_MERGE_TERMS = 1 << 21
-
-# eval_terms works on (terms, points) blocks of at most this many words, so
-# its memory stays flat however many terms a polynomial has.  A Mersenne
-# mulmod keeps about ten block-sized temporaries alive, so a 2^12-word
-# (32 KB) block costs a few hundred KB; larger blocks ran no faster.
-TERM_BLOCK = 1 << 12
 
 # eval_program works on each level in blocks of at most LEVEL_BLOCK words
 # (gates, or child edges of sums, times points), and Circuit.evaluate_batch
@@ -266,66 +259,6 @@ def mul_packed(ka, ca, kb, cb, p):
     keys = (ka[:, None] + kb[None, :]).ravel()
     coeffs = mulmod_vec(np.repeat(ca, cb.shape[0]), np.tile(cb, ca.shape[0]), p)
     return merge_packed(keys, coeffs, p)
-
-
-def eval_terms(exps, coeffs, points, p):
-    """Evaluate an exponent-matrix polynomial at a batch of points.
-
-    Vectorized over terms: a table holds x_i^e for each variable i that
-    occurs and every exponent e up to the largest, or only the exponents
-    that occur once the largest reaches the number of terms, so it has no
-    more rows than the exponent matrix has entries.  Each power is the one
-    below it times x_i^gap by square-and-multiply.  Then each chunk of
-    terms, a (terms, points) block of at most ``TERM_BLOCK`` entries, takes
-    one multiply per occurring variable, gathering x_i^e for every term,
-    and is summed mod p.  uint64 blocks are reduced after every multiply; object
-    blocks of Python ints only once, when the chunk is summed.  The result
-    has ``field_dtype(p)``; a polynomial without terms evaluates to zeros.
-    """
-    dtype = field_dtype(p)
-    p = dtype.type(int(p))
-    nterms = exps.shape[0]
-    npts = points.shape[0]
-    if nterms == 0:
-        return np.zeros(npts, dtype=dtype)
-    coeffs = coeffs.astype(dtype, copy=False)
-    used = np.flatnonzero(exps.any(axis=0))
-    exps = exps[:, used]
-    x = points[:, used].T
-    emax = int(exps.max(initial=1))
-    if emax < max(nterms, 2):
-        distinct = range(emax + 1)  # no more rows than terms, or x^0 and x^1
-    else:
-        # exps becomes the index of its exponent among the distinct ones
-        distinct, index = np.unique(exps, return_inverse=True)
-        exps = index.reshape(exps.shape)
-    if emax > 1:
-        x = x.astype(dtype, copy=False)  # object arrays at primes without a word kernel
-    # pows[k, j] = x_used[j]^distinct[k], each power the one before it times
-    # x^gap by square-and-multiply
-    pows = np.empty((len(distinct), used.size, npts), dtype=dtype)
-    cur, last = None, 0  # cur = x^last, None while that is 1
-    for k, e in enumerate(distinct):
-        base, gap, last = x, int(e) - last, int(e)
-        while gap:
-            if gap & 1:
-                cur = base if cur is None else mulmod_vec(cur, base, p)
-            gap >>= 1
-            if gap:
-                base = mulmod_vec(base, base, p)
-        pows[k] = 1 if cur is None else cur
-    step = max(1, TERM_BLOCK // max(npts, 1))
-    acc = None
-    for lo in range(0, nterms, step):
-        sub = exps[lo : lo + step]
-        block = coeffs[lo : lo + step, None]
-        for j in range(used.size):
-            power = pows[sub[:, j], j]
-            block = block * power if dtype == object else mulmod_vec(block, power, p)
-        rows = np.broadcast_to(block, (sub.shape[0], npts))
-        part = _sum_segments(rows, [0], sub.shape[0], p)[0]
-        acc = part if acc is None else addmod_vec(acc, part, p)
-    return acc
 
 
 def _require_word_points(p: int) -> None:

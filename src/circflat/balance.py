@@ -44,7 +44,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .analysis import compute_var, inferred_k
-from .circuit import ADD, CONST, INPUT, MUL, Circuit, Gate, require_valid
+from .circuit import ADD, MUL, Builder, Circuit, Gate, require_valid
 from .errors import FieldTooSmall, InvalidCircuit
 from .field import lagrange_interpolate
 from .quotient import decomposition_terms, quotient_table, quotient_values_batch
@@ -134,58 +134,6 @@ def check_balanced(circuit: Circuit) -> BalanceScan:
     )
 
 
-class _Builder:
-    """Output-circuit construction state: gates built so far plus caches
-    for constants, inputs and variable powers."""
-
-    def __init__(self, n: int, field):
-        self.n = n
-        self.field = field
-        self.gates = []
-        self.consts: Dict[int, int] = {}
-        self.inputs: Dict[int, int] = {}
-
-    def emit(self, gate: Gate) -> int:
-        self.gates.append(gate)
-        return len(self.gates) - 1
-
-    def const(self, value: int) -> int:
-        value %= self.field.p
-        if value not in self.consts:
-            self.consts[value] = self.emit(Gate(CONST, value=value))
-        return self.consts[value]
-
-    def input(self, var_1based: int) -> int:
-        if var_1based not in self.inputs:
-            self.inputs[var_1based] = self.emit(Gate(INPUT, var=var_1based))
-        return self.inputs[var_1based]
-
-    def power(self, var_1based: int, j: int) -> int:
-        """x^j with product fan-in <= 5 and no factor above half the total
-        degree: flat up to j = 5, then near-equal splits."""
-        if j == 1:
-            return self.input(var_1based)
-        if j <= 5:
-            x = self.input(var_1based)
-            return self.emit(Gate(MUL, children=(x,) * j))
-        half = j // 2
-        if j % 2 == 0:
-            a = self.power(var_1based, half)
-            return self.emit(Gate(MUL, children=(a, a)))
-        a = self.power(var_1based, half)
-        return self.emit(Gate(MUL, children=(a, a, self.input(var_1based))))
-
-    def product(self, factor_ids) -> int:
-        if len(factor_ids) == 1:
-            return factor_ids[0]
-        return self.emit(Gate(MUL, children=tuple(factor_ids)))
-
-    def summation(self, summand_ids) -> int:
-        if len(summand_ids) == 1:
-            return summand_ids[0]
-        return self.emit(Gate(ADD, children=tuple(summand_ids)))
-
-
 class _Balancer:
     def __init__(self, circuit: Circuit):
         require_valid(circuit)
@@ -205,7 +153,7 @@ class _Balancer:
             raise FieldTooSmall(
                 f"interpolation needs {self.k + 1} distinct points, p = {circuit.field.p}"
             )
-        self.out = _Builder(circuit.n, circuit.field)
+        self.out = Builder(circuit.n, circuit.field)
         self.memo: Dict[NodeKey, int] = {}
         self.base_case_count = 0
         # The axis grid every base key reads: the origin, then x_i = 1..k

@@ -1,4 +1,5 @@
-"""Circuit intermediate representation, text format and evaluation.
+"""Circuit intermediate representation, construction, text format and
+evaluation.
 
 A circuit is an immutable DAG of gates over a prime field.  Gates are stored
 in a dense, topologically numbered sequence: every child id is strictly
@@ -22,7 +23,7 @@ load, preserving order.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -100,7 +101,6 @@ class Circuit:
         self.field = field if field is not None else FieldSpec()
         self.name = name
         self._program = None
-        self._reachable = None
 
     # -- basic shape ---------------------------------------------------
 
@@ -130,12 +130,6 @@ class Circuit:
                 for c in self.gates[g].children:
                     mask[c] = True
         return mask
-
-    def reachable_from_output(self) -> np.ndarray:
-        """Boolean mask of gates in the cone of the output."""
-        if self._reachable is None:
-            self._reachable = np.asarray(self.cone(self.output))
-        return self._reachable
 
     # -- evaluation ----------------------------------------------------
 
@@ -221,6 +215,74 @@ class Circuit:
             f"Circuit({self.name!r}, n={self.n}, gates={self.num_gates}, "
             f"size={self.size()}, p={self.field.p})"
         )
+
+
+class Builder:
+    """Construction state of a new circuit: the gates built so far, with
+    each constant and each input emitted once.  Variable powers are not
+    cached: every :meth:`power` call emits its products anew."""
+
+    def __init__(self, n: int, field):
+        self.n = n
+        self.field = field
+        self.gates = []
+        self.consts: Dict[int, int] = {}
+        self.inputs: Dict[int, int] = {}
+
+    def emit(self, gate: Gate) -> int:
+        self.gates.append(gate)
+        return len(self.gates) - 1
+
+    def const(self, value: int) -> int:
+        value %= self.field.p
+        if value not in self.consts:
+            self.consts[value] = self.emit(Gate(CONST, value=value))
+        return self.consts[value]
+
+    def input(self, var_1based: int) -> int:
+        if var_1based not in self.inputs:
+            self.inputs[var_1based] = self.emit(Gate(INPUT, var=var_1based))
+        return self.inputs[var_1based]
+
+    def power(self, var_1based: int, j: int) -> int:
+        """x^j with product fan-in <= 5 and no factor above half the total
+        degree: flat up to j = 5, then near-equal splits."""
+        if j == 1:
+            return self.input(var_1based)
+        if j <= 5:
+            x = self.input(var_1based)
+            return self.emit(Gate(MUL, children=(x,) * j))
+        half = j // 2
+        if j % 2 == 0:
+            a = self.power(var_1based, half)
+            return self.emit(Gate(MUL, children=(a, a)))
+        a = self.power(var_1based, half)
+        return self.emit(Gate(MUL, children=(a, a, self.input(var_1based))))
+
+    def product(self, factor_ids) -> int:
+        if len(factor_ids) == 1:
+            return factor_ids[0]
+        return self.emit(Gate(MUL, children=tuple(factor_ids)))
+
+    def summation(self, summand_ids) -> int:
+        if len(summand_ids) == 1:
+            return summand_ids[0]
+        return self.emit(Gate(ADD, children=tuple(summand_ids)))
+
+    def polynomial(self, poly) -> int:
+        """A sparse polynomial as its sum of monomials, terms in sorted
+        exponent order: each term is its constant (unless the coefficient
+        is 1 on a nonconstant term) times its variables' powers.  The zero
+        polynomial is the constant 0."""
+        if not poly.terms:
+            return self.const(0)
+        term_ids = []
+        for exps in sorted(poly.terms):
+            coeff = poly.terms[exps]
+            parts = [self.const(coeff)] if coeff != 1 or not any(exps) else []
+            parts += [self.power(i + 1, e) for i, e in enumerate(exps) if e]
+            term_ids.append(self.product(parts))
+        return self.summation(term_ids)
 
 
 def validate(circuit: Circuit) -> list:

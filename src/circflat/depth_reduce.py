@@ -31,7 +31,7 @@ import numpy as np
 from . import backends
 from .analysis import compute_var, inferred_k
 from .balance import balance, check_balanced
-from .circuit import ADD, CONST, MUL, Circuit, Gate
+from .circuit import ADD, CONST, MUL, Builder, Circuit, Gate
 from .errors import ExpansionTooLarge, InvalidParams, NotBalanced
 from .expand import DEFAULT_BUDGET, CircuitExpander, brute_force_expand
 from .normalize import normalized
@@ -121,20 +121,15 @@ class LayeredCircuit:
     def top_fanin(self) -> int:
         return sum(sm.count for sm in self.products)
 
-    def product_var_vectors(self):
-        """Per-product coordinate-wise variable degrees (factor masses sum)."""
-        out = []
+    def per_var_degrees(self) -> tuple:
+        """Largest degree of each variable in any product, a product's
+        degrees being the sums of its factors' own."""
+        degs = [0] * self.n
         for sm in self.products:
             acc = [0] * self.n
             for r in sm.factors:
                 acc = [a + b for a, b in zip(acc, self.pool[r].per_var_degrees())]
-            out.append(tuple(acc))
-        return out
-
-    def per_var_degrees(self) -> tuple:
-        degs = [0] * self.n
-        for vec in self.product_var_vectors():
-            degs = [max(a, b) for a, b in zip(degs, vec)]
+            degs = [max(a, b) for a, b in zip(degs, acc)]
         return tuple(degs)
 
     def max_var_coordinate(self) -> int:
@@ -190,12 +185,7 @@ class LayeredCircuit:
     def to_json_dict(self) -> dict:
         def factor_json(entry):
             if isinstance(entry, SparsePolynomial):
-                return {
-                    "monomials": [
-                        {"exponents": list(e), "coeff": entry.terms[e]}
-                        for e in sorted(entry.terms)
-                    ]
-                }
+                return {"monomials": entry.to_json_dict()["monomials"]}
             return entry.to_json_dict()
 
         return {
@@ -219,9 +209,7 @@ class LayeredCircuit:
         is built on the first call and cached; another name gives a renamed
         circuit over the same gates tuple."""
         if self._flat is None:
-            from .balance import _Builder
-
-            b = _Builder(self.n, self.field)
+            b = Builder(self.n, self.field)
             out = self._flatten_into(b)
             self._flat = Circuit(self.n, b.gates, out, field=self.field, name="layered")
         flat = self._flat
@@ -229,35 +217,16 @@ class LayeredCircuit:
             return flat
         return Circuit(flat.n, flat.gates, flat.output, field=flat.field, name=name)
 
-    def _flatten_into(self, b) -> int:
-        def poly_gate(poly: SparsePolynomial) -> int:
-            if not poly.terms:
-                return b.const(0)
-            term_ids = []
-            for exps in sorted(poly.terms):
-                coeff = poly.terms[exps]
-                parts = []
-                if coeff != 1 or not any(exps):
-                    parts.append(b.const(coeff))
-                for i, e in enumerate(exps):
-                    if e:
-                        parts.append(b.power(i + 1, e) if e > 1 else b.input(i + 1))
-                term_ids.append(parts[0] if len(parts) == 1 else b.emit(Gate(MUL, children=tuple(parts))))
-            return b.summation(term_ids)
-
-        factor_ids = []
-        for entry in self.pool:
-            if isinstance(entry, SparsePolynomial):
-                factor_ids.append(poly_gate(entry))
-            else:
-                factor_ids.append(entry._flatten_into(b))
+    def _flatten_into(self, b: Builder) -> int:
+        factor_ids = [
+            b.polynomial(entry) if isinstance(entry, SparsePolynomial) else entry._flatten_into(b)
+            for entry in self.pool
+        ]
         summand_ids = []
         for sm in self.products:
-            parts = []
-            if sm.coeff != 1 or not sm.factors:
-                parts.append(b.const(sm.coeff))
+            parts = [b.const(sm.coeff)] if sm.coeff != 1 or not sm.factors else []
             parts.extend(factor_ids[r] for r in sm.factors)
-            summand_ids.append(parts[0] if len(parts) == 1 else b.emit(Gate(MUL, children=tuple(parts))))
+            summand_ids.append(b.product(parts))
         if not summand_ids:
             return b.const(0)
         return b.summation(summand_ids)

@@ -16,9 +16,7 @@ so checking one expansion against another builds no exponent tuples.
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from . import backends
+from .circuit import Builder, Circuit
 from .errors import IncompatibleArity
 from .field import FieldSpec
 
@@ -181,24 +179,13 @@ class SparsePolynomial:
             total = (total + term) % p
         return total
 
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of points through :func:`backends.eval_terms`,
-        for every prime: uint64 words where a word kernel exists, Python ints
-        in an object array otherwise."""
-        exps, coeffs = self.to_term_arrays()
-        return backends.eval_terms(exps, coeffs, points, self.field.p)
-
-    def to_term_arrays(self):
-        """(terms, n) exponent matrix of the narrowest unsigned dtype that
-        holds the largest exponent, plus coefficients of
-        ``backends.field_dtype(p)``, in canonical term order."""
-        keys = sorted(self.terms)
-        top = max((max(e, default=0) for e in keys), default=0)
-        exps = np.array(keys, dtype=np.min_scalar_type(top)).reshape(len(keys), self.n)
-        coeffs = np.array(
-            [self.terms[e] for e in keys], dtype=backends.field_dtype(self.field.p)
-        )
-        return exps, coeffs
+    def evaluate_batch(self, points):
+        """Values at each row of points, of ``backends.field_dtype(p)``:
+        the batch evaluation of the polynomial's sum-of-monomials circuit
+        (:meth:`Builder.polynomial`)."""
+        b = Builder(self.n, self.field)
+        out = b.polynomial(self)
+        return Circuit(self.n, b.gates, out, self.field).evaluate_batch(points)
 
     # -- serialization -------------------------------------------------------
 

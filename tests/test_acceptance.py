@@ -282,7 +282,7 @@ def test_criterion_7_negative_controls(corpus, field):
     while samples < 50:
         c = circuits[i % len(circuits)]
         i += 1
-        live = c.reachable_from_output()
+        live = c.cone(c.output)
         const_gates = [
             g for g in range(c.num_gates) if c.gates[g].kind == "const" and live[g]
         ]

@@ -89,25 +89,30 @@ def test_eval_program_matches_python(field):
         assert [int(v) for v in table[:, j]] == ref
 
 
-def test_eval_terms():
+def test_sparse_evaluate_batch():
     p = MERSENNE61
-    exps = np.array([[0, 0], [1, 0], [2, 1]], dtype=np.uint8)
-    coeffs = np.array([5, 3, 2], dtype=np.uint64)
+    poly = SparsePolynomial(2, FieldSpec(p), {(0, 0): 5, (1, 0): 3, (2, 1): 2})
     points = np.array([[2, 3], [0, 0]], dtype=np.uint64)
-    got = backends.eval_terms(exps, coeffs, points, p)
+    got = poly.evaluate_batch(points)
     assert int(got[0]) == (5 + 3 * 2 + 2 * 4 * 3) % p
     assert int(got[1]) == 5
 
 
 def _term_batch(p, n, npts, nterms, seed, worst):
-    """Random exponents 0-3 (repeated rows allowed), coefficients with
-    zeros among them and reduced points.  When ``worst``, every coefficient
-    and coordinate is p - 1 and every exponent even, so every term is p - 1,
-    the largest addend the term sums can meet."""
+    """Distinct exponent rows (a polynomial merges repeated ones), each
+    exponent below ``top``, the smallest power of two from 4 up with room
+    for twice as many rows, coefficients with zeros among them and reduced
+    points.  When ``worst``, every coefficient and coordinate is p - 1 and
+    every exponent even, so every term is p - 1, the largest addend the
+    term sum can meet."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    exps = rng.integers(0, 4, (nterms, n), dtype=np.uint8)
+    top = 4
+    while top**n < 2 * nterms:
+        top *= 2
+    codes = rng.choice(top**n, nterms, replace=False)
+    exps = (codes[:, None] // top ** np.arange(n)) % top
     if worst:
-        exps &= np.uint8(2)
+        exps *= 2
         coeffs = np.full(nterms, p - 1, dtype=np.uint64)
         points = np.full((npts, n), p - 1, dtype=np.uint64)
     else:
@@ -131,17 +136,47 @@ def _term_batch(p, n, npts, nterms, seed, worst):
 @example(p=(1 << 31) - 1, n=2, npts=20, size="chunks", seed=1, worst=True)
 @example(p=MERSENNE61, n=1, npts=20, size="none", seed=2, worst=False)
 @example(p=(1 << 62) - 57, n=3, npts=20, size="chunks", seed=4, worst=True)
-def test_eval_terms_matches_sparse_evaluate(p, n, npts, size, seed, worst):
-    chunk = max(1, backends.TERM_BLOCK // npts)
+def test_sparse_evaluate_batch_matches_evaluate(p, n, npts, size, seed, worst):
+    # "chunks": the top sum's children span several segment-sum blocks
+    chunk = max(1, backends.LEVEL_BLOCK // npts)
     nterms = {"none": 0, "one": 1, "few": 9, "chunks": 2 * chunk + 3}[size]
     exps, coeffs, points = _term_batch(p, n, npts, nterms, seed, worst)
-    got = backends.eval_terms(exps, coeffs, points, p)
-    assert got.dtype == backends.field_dtype(p) and got.shape == (npts,)
-    terms = {}
-    for e, c in zip(map(tuple, exps.tolist()), coeffs.tolist()):
-        terms[e] = (terms.get(e, 0) + c) % p
+    terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
     oracle = SparsePolynomial(n, FieldSpec(p), terms)
+    got = oracle.evaluate_batch(points)
+    assert got.dtype == backends.field_dtype(p) and got.shape == (npts,)
     assert got.tolist() == [oracle.evaluate(pt) for pt in points.tolist()]
+
+
+@pytest.mark.parametrize("p", EVAL_PRIMES)
+@pytest.mark.parametrize("npts", [1, 256])
+def test_sparse_evaluate_batch_of_zero_constant_and_last_variable(p, npts):
+    # x_n alone leaves x_1 .. x_{n-1} unused
+    field, n = FieldSpec(p), 3
+    points = _points(n, p, npts - 1, 4)
+    for poly, want in [
+        (SparsePolynomial.zero(n, field), [0] * npts),
+        (SparsePolynomial.const(n, field, p - 1), [p - 1] * npts),
+        (SparsePolynomial.variable(n, field, n), points[:, n - 1].tolist()),
+    ]:
+        got = poly.evaluate_batch(points)
+        assert got.dtype == backends.field_dtype(p) and got.shape == (npts,)
+        assert got.tolist() == want
+
+
+def test_sparse_evaluate_batch_runs_on_eval_program(monkeypatch):
+    calls = []
+    real = backends.eval_program
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backends, "eval_program", spy)
+    poly = SparsePolynomial(2, FieldSpec(MERSENNE61), {(1, 2): 3, (0, 0): 1})
+    points = np.array([[2, 5]], dtype=np.uint64)
+    assert poly.evaluate_batch(points).tolist() == [(3 * 2 * 25 + 1)]
+    assert len(calls) == 1
 
 
 @settings(max_examples=80, deadline=None)

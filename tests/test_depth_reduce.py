@@ -325,6 +325,35 @@ def test_delta_golden_outputs(make, delta, sha, t, out_size, top_fanin):
     assert (rep.t, rep.out_size, rep.top_fanin) == (t, out_size, top_fanin)
 
 
+
+# (circuit, Delta, sha256 of layered.flatten().serialize(), the text that
+# `circflat reduce` writes): a Delta = 2 pool, a nested pool, and a pool
+# with x_i^2 powers
+FLAT_GOLDEN = [
+    (
+        lambda: random_multilinear(60, 10, seed=2),
+        2,
+        "affa4b03d1c7d558b679e9f14c56e286346230c75eca8f78a61a9e328e4d3ccf",
+    ),
+    (
+        lambda: product_of_sums(16, 2),
+        3,
+        "e63ffffa510f14499f345c271437055215dd059f1f99166edde185d3cc4371ee",
+    ),
+    (
+        lambda: product_of_sums_power(6, 3, 2),
+        2,
+        "6af64d202d293ecb7c0b87ddb9f5de6f3f2a466763e652f1aceee66b210cfd49",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, delta, sha", FLAT_GOLDEN)
+def test_flattened_text_golden(make, delta, sha):
+    layered, _ = reduce_depth_delta(make(), delta)
+    text = layered.flatten().serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
 def test_delta_invalid(field):
     with pytest.raises(InvalidParams):
         reduce_depth_delta(pos22(field), 1)
