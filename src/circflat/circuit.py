@@ -154,8 +154,9 @@ class Circuit:
     def eval_table(self, points: np.ndarray) -> np.ndarray:
         """Values of every gate at each row of ``points`` ((npts, n) reduced
         field elements), as a (gates, npts) table of
-        ``backends.field_dtype(p)``: uint64 words where a word kernel
-        exists, Python ints in an object array for every other prime."""
+        ``backends.field_dtype(p)``: uint64 words below 2^63 (folded
+        products at 2^61 - 1, direct below 2^31, Montgomery in between),
+        Python ints in an object array above 2^63."""
         kinds, payload, offs, children = self.program()
         return backends.eval_program(kinds, payload, offs, children, points, self.field.p)
 

@@ -62,7 +62,10 @@ class Schedule:
 def _threshold(potential: int, s: int, delta: int) -> int:
     """t for one reduction level with the given potential budget: the
     sqrt(P log2 s) rule at depth 4 and P / (P / log2 s)^(1/Delta) deeper,
-    clamped to [1, P]."""
+    clamped to [1, P].  A potential of 0 (a constant circuit, n = 0) gives
+    t = 1: nothing is over it, so the level is one summand with no factors."""
+    if potential < 1:
+        return 1
     logs = math.log2(s)
     if delta == 2:
         raw = math.sqrt(potential * logs)

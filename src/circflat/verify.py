@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 from . import backends
 from .analysis import compute_var
 from .circuit import ADD, CONST, INPUT, MUL, Circuit
-from .errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
+from .errors import ExpansionTooLarge, IncompatibleArity, InvalidParams, TooManyProofTrees
 from .expand import DEFAULT_BUDGET, brute_force_expand
 from .sparse import SparsePolynomial, key_width, unpack_keys, variable_key
 
@@ -239,7 +239,10 @@ def _arity_of(obj):
 def random_equiv(a, b, trials: int = 20, seed: int = 0) -> EquivResult:
     """Schwartz-Zippel identity test between two representations (circuits
     or layered circuits).  One-sided: NotEquivalent verdicts carry the
-    witness point and both values; Equivalent means all trials agreed."""
+    witness point and both values; Equivalent means all trials agreed, so
+    at least one trial is required (InvalidParams otherwise)."""
+    if trials < 1:
+        raise InvalidParams(f"trials must be >= 1 for a verdict, got {trials}")
     na, pa = _arity_of(a)
     nb, pb = _arity_of(b)
     if na != nb or pa != pb:

@@ -19,7 +19,7 @@ from circflat import (
     reduce_depth_delta,
 )
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
-from circflat.errors import ExpansionTooLarge, FieldTooSmall
+from circflat.errors import ExpansionTooLarge, FieldTooSmall, InvalidParams
 from circflat.field import MERSENNE61, FieldSpec
 from circflat.sparse import SparsePolynomial
 
@@ -27,8 +27,13 @@ from conftest import at_prime, build
 from test_var import circuits
 
 PRIMES = [MERSENNE61, 10007, 2]
-# word kernels at the first four, object arrays of Python ints at the last two
-EVAL_PRIMES = [2, 10007, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57, (1 << 64) - 59]
+# direct products below 2^31, folding at 2^61 - 1, Montgomery products up to
+# 2^63 - 25 (the largest prime below 2^63), object arrays of Python ints at
+# the last two
+EVAL_PRIMES = [
+    2, 10007, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57, (1 << 63) - 25,
+    (1 << 63) + 29, (1 << 64) - 59,
+]
 
 
 def _random(p, size, seed):
@@ -36,10 +41,11 @@ def _random(p, size, seed):
     return rng.integers(0, p, size, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + [(1 << 62) - 57, (1 << 63) - 25])
 def test_mulmod_vec_matches_python(p):
-    a = _random(p, 500, 1)
-    b = _random(p, 500, 2)
+    # random pairs, then (p - 1)^2 and products with 0
+    a = np.append(_random(p, 500, 1), [p - 1, p - 1, 0, 0]).astype(np.uint64)
+    b = np.append(_random(p, 500, 2), [p - 1, 0, p - 1, 0]).astype(np.uint64)
     got = backends.mulmod_vec(a, b, np.uint64(p))
     want = [(int(x) * int(y)) % p for x, y in zip(a, b)]
     assert [int(v) for v in got] == want
@@ -75,6 +81,15 @@ def test_mul_packed(p):
             ref[key] = (ref.get(key, 0) + int(c1) * int(c2)) % p
     ref = {k: v for k, v in ref.items() if v}
     assert {int(k): int(c) for k, c in zip(uk, uc)} == ref
+
+
+@pytest.mark.parametrize(
+    "p",
+    [2, 3, (1 << 31) - 1, (1 << 31) + 11, MERSENNE61, (1 << 62) - 57, (1 << 63) - 25,
+     (1 << 63) + 29, (1 << 64) - 59, (1 << 89) - 1],
+)
+def test_field_dtype_is_words_exactly_below_2_63(p):
+    assert backends.field_dtype(p) == (np.uint64 if p < 1 << 63 else object)
 
 
 def test_eval_program_matches_python(field):
@@ -211,8 +226,11 @@ def test_batch_evaluators_match_per_point_property(c, p, seed):
 
 # -- level-by-level eval_program ------------------------------------------------
 
-# both word kernels, the small primes, and object arrays at 2^62 - 57
-LEVEL_PRIMES = [2, 3, 5, 7, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57]
+# the small primes, the direct, folding and Montgomery products, and object
+# arrays above 2^63
+LEVEL_PRIMES = [
+    2, 3, 5, 7, (1 << 31) - 1, MERSENNE61, (1 << 62) - 57, (1 << 63) - 25, (1 << 63) + 29,
+]
 
 
 def _points(n, p, npts, seed):
@@ -249,7 +267,17 @@ def test_wide_sum_of_top_values(npts):
     assert c.evaluate_batch(points).tolist() == [fanin * (p - 1) % p] * npts
 
 
-@pytest.mark.parametrize("p", [(1 << 31) - 1, MERSENNE61, (1 << 62) - 57])
+@pytest.mark.parametrize("p", LEVEL_PRIMES)
+def test_eval_table_of_column_major_points(p):
+    # the Montgomery entry converts a copy of the points in place, word by
+    # word, which must not depend on their memory order
+    c = random_multilinear(30, 5, seed=1, field=FieldSpec(p))
+    _assert_table_is_gate_values(c, np.asfortranarray(_points(c.n, p, 7, 1)))
+
+
+@pytest.mark.parametrize(
+    "p", [(1 << 31) - 1, MERSENNE61, (1 << 62) - 57, (1 << 63) - 25, (1 << 63) + 29]
+)
 def test_one_level_of_products_with_fan_in_1_to_5(p):
     # every product reads inputs only, so all share level 1 and each child
     # slot multiplies a different prefix of them
@@ -260,7 +288,7 @@ def test_one_level_of_products_with_fan_in_1_to_5(p):
     _assert_table_is_gate_values(build(5, gates, field=FieldSpec(p)), _points(5, p, 20, 1))
 
 
-@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57, (1 << 63) - 25])
 def test_level_wider_than_one_block(p):
     # At 256 points a block holds LEVEL_BLOCK / 256 gates or sum edges.  The
     # level above the inputs has several blocks of pair sums, fan-in-3 sums
@@ -277,7 +305,7 @@ def test_level_wider_than_one_block(p):
     _assert_table_is_gate_values(build(n, gates, field=FieldSpec(p)), _points(n, p, npts - 1, 2))
 
 
-@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [MERSENNE61, (1 << 62) - 57, (1 << 63) - 25])
 def test_evaluate_batch_in_chunks(p):
     c = random_multilinear(60, 6, seed=5, field=FieldSpec(p))
     chunk = backends.TABLE_BLOCK // c.num_gates
@@ -325,6 +353,63 @@ def test_random_point_batch_rows_are_random_points(p):
     assert batch.dtype == np.uint64 and batch.shape == (40, 5)
     for t in range(40):
         assert batch[t].tolist() == backends.random_points(9, t, 5, p).tolist()
+
+
+# Every EVAL_PRIMES prime, and primes whose Lemire threshold is small
+# (2^32 - 5, 2^32 + 15) or about half the range (2^31 + 11 on 32-bit
+# halves, 2^63 + 29 on words), where about half the draws are redrawn and
+# most rows fall back to random_points.
+SWEEP_PRIMES = EVAL_PRIMES + [(1 << 31) + 11, (1 << 32) - 5, (1 << 32) + 15]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(SWEEP_PRIMES),
+    n=st.sampled_from([0, 1, 5, 48]),
+    trials=st.sampled_from([0, 1, 20, 256]),
+    seed=st.one_of(
+        st.sampled_from([0, (1 << 63) + 5, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1)
+    ),
+)
+@example(p=(1 << 63) + 29, n=48, trials=256, seed=(1 << 64) - 1)
+@example(p=(1 << 31) + 11, n=5, trials=20, seed=(1 << 63) + 5)
+@example(p=(1 << 32) - 5, n=0, trials=0, seed=0)
+def test_random_point_batch_sweep_matches_random_points(p, n, trials, seed):
+    batch = backends.random_point_batch(seed, trials, n, p)
+    assert batch.dtype == np.uint64 and batch.shape == (trials, n)
+    assert batch.tolist() == [backends.random_points(seed, t, n, p).tolist() for t in range(trials)]
+
+
+@pytest.mark.parametrize("p", [(1 << 31) + 11, (1 << 63) + 29])
+def test_random_point_batch_redraws_rejected_rows(monkeypatch, p):
+    # about half the draws are rejected at these primes, so with one
+    # coordinate about half the rows fall back (9 of these 20)
+    reference = backends.random_points
+    redrawn = []
+
+    def spy(seed, trial, n, p):
+        redrawn.append(trial)
+        return reference(seed, trial, n, p)
+
+    monkeypatch.setattr(backends, "random_points", spy)
+    batch = backends.random_point_batch(3, 20, 1, p)
+    assert 0 < len(redrawn) < 20
+    assert batch.tolist() == [reference(3, t, 1, p).tolist() for t in range(20)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: backends.random_point_batch(-1, 4, 3, MERSENNE61),
+        lambda: backends.random_point_batch(1 << 64, 4, 3, MERSENNE61),
+        lambda: backends.random_point_batch(0, -3, 3, MERSENNE61),
+        lambda: backends.random_points(-1, 0, 3, MERSENNE61),
+        lambda: backends.random_points(0, 1 << 64, 3, MERSENNE61),
+    ],
+)
+def test_random_points_reject_bad_keys_and_trial_counts(call):
+    with pytest.raises(InvalidParams):
+        call()
 
 
 # sha256 of repr(random_point_batch(5, 16, 6, p).tolist()), with its first row

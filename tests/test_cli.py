@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from circflat.circuit import load
 from circflat.cli import main
 from circflat.generators import random_multilinear
 
@@ -109,6 +110,31 @@ def test_verify_randomized_path_above_point_streams(pos_file, capsys):
     assert run(["--prime", (1 << 89) - 1] + args) == 2
     err = capsys.readouterr().err
     assert "2^64" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [(["--seed", -1], []), (["--seed", 1 << 64], []), ([], ["--trials", -3]), ([], ["--trials", 0])],
+)
+def test_verify_rejects_bad_seeds_and_trial_counts(tmp_path, pos_file, capsys, before, after):
+    # the randomized route, on two circuits that differ
+    other = tmp_path / "other.ckt"
+    other.write_text(pos22().serialize().replace("gate 6 = mul 4 5", "gate 6 = add 4 5"))
+    assert run(before + ["verify", "--exact-budget", "1"] + after + [pos_file, other]) == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err and "equivalent" not in out.out
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_reduce_constant_circuit(tmp_path, delta):
+    src = tmp_path / "k.ckt"
+    src.write_text("circuit k\nnvars 0\ngate 0 = const 5\noutput 0\n")
+    out = tmp_path / "o.ckt"
+    lay = tmp_path / "o.json"
+    assert run(["stats", src]) == 0
+    assert run(["reduce", src, "-o", out, "--delta", delta, "--layered-json", lay]) == 0
+    assert load(out).evaluate([]) == 5
+    assert json.loads(lay.read_text())["summands"] == [{"count": 1, "coeff": 5, "factors": []}]
 
 
 def test_gen_deterministic(tmp_path):

@@ -26,7 +26,12 @@ from circflat import (
 )
 from circflat.analysis import inferred_k
 from circflat.circuit import Circuit, Gate, add_gate, const_gate, input_gate, mul_gate
-from circflat.errors import ExpansionTooLarge, IncompatibleArity, TooManyProofTrees
+from circflat.errors import (
+    ExpansionTooLarge,
+    IncompatibleArity,
+    InvalidParams,
+    TooManyProofTrees,
+)
 from circflat.expand import DEFAULT_BUDGET, expansion_bound
 from circflat.field import FieldSpec
 from circflat.generators import (
@@ -197,9 +202,9 @@ def test_random_equiv_detects_const_mutation(field):
 
 
 def test_random_equiv_golden_witness_at_object_prime():
-    """A constant mutation at 2^62 - 57, whose points run through the object
-    arrays: the witness and both values are pinned, and the result's JSON
-    holds plain ints."""
+    """A constant mutation at 2^62 - 57, which evaluated on object arrays
+    and now on Montgomery words: the witness and both values are pinned,
+    and the result's JSON holds plain ints."""
     field = FieldSpec((1 << 62) - 57)
     c = random_multilinear(40, 8, seed=3, field=field)
     gid = next(i for i, g in enumerate(c.gates) if g.kind == "const")
@@ -240,6 +245,14 @@ def test_random_equiv_arity_errors(field):
     c = build(1, [input_gate(1)], field=FieldSpec(101))
     with pytest.raises(IncompatibleArity):
         random_equiv(a, c, 5, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_equiv_needs_a_trial(field, trials):
+    a = random_multilinear(30, 6, seed=5, field=field)
+    b = random_multilinear(30, 6, seed=6, field=field)
+    with pytest.raises(InvalidParams):
+        random_equiv(a, b, trials, 0)
 
 
 def test_evaluation_consistency(field):
