@@ -325,6 +325,13 @@ def require_valid(circuit: Circuit) -> None:
         raise InvalidCircuit("; ".join(str(d) for d in diags))
 
 
+def require_gate(circuit: Circuit, g: int) -> None:
+    """Refuse a gate id outside [0, num_gates); a negative id would
+    otherwise index from the end."""
+    if not 0 <= g < circuit.num_gates:
+        raise InvalidCircuit(f"no gate {g}")
+
+
 def parse(text: str, field: Optional[FieldSpec] = None) -> Circuit:
     """Parse the textual format.  Constants are reduced mod p; gate ids are
     renumbered densely in file order."""

@@ -19,6 +19,14 @@ Every level runs that exploration and then builds its pool from the
 factor gates: at Delta = 2 each is expanded into its monomials, at
 Delta > 2 each gate's cone is reduced to product depth Delta - 1 by the
 same level step with a smaller threshold.
+
+Each public call scans its input with check_balanced once, and nested
+levels trust their cones: a cone passes the scan whenever its parent
+does.  The sum checks are local, and every non-root gate of a cone has a
+parent inside it, so the one new check is the root's, a product against
+its own |Var|.  A product factor is a product's child, which the parent's
+scan checked the same way.  The exception is the output as a factor when
+sums sit above it (balance() emits none): that cone alone is scanned.
 """
 
 import heapq
@@ -31,11 +39,12 @@ import numpy as np
 from . import backends
 from .analysis import compute_var, inferred_k
 from .balance import balance, check_balanced
-from .circuit import ADD, CONST, MUL, Builder, Circuit, Gate
+from .circuit import ADD, CONST, MUL, Builder, Circuit, Gate, require_gate
 from .errors import ExpansionTooLarge, InvalidParams, NotBalanced
 from .expand import DEFAULT_BUDGET, CircuitExpander, brute_force_expand
 from .normalize import normalized
 from .sparse import SparsePolynomial
+from .verify import envelope_ratio
 
 MAX_PRODUCTS = 1 << 18
 
@@ -234,18 +243,6 @@ class LayeredCircuit:
             return b.const(0)
         return b.summation(summand_ids)
 
-    def structural_report(self, degree_budget: int = DEFAULT_BUDGET):
-        from .verify import _circuit_report
-
-        rep = _circuit_report(self.flatten(), degree_budget)
-        rep.kind = "layered"
-        rep.top_fanin = self.top_fanin()
-        # report the representation's own alternation structure; the scan of
-        # the flattened circuit would contract degenerate fan-in-1 layers
-        rep.product_depth = self.product_depth()
-        rep.depth = 2 * self.delta
-        return rep
-
     def __repr__(self):
         return (
             f"LayeredCircuit(delta={self.delta}, products={len(self.products)}, "
@@ -288,9 +285,7 @@ class ExpansionReport:
     @property
     def bound_ratio(self) -> float:
         """log2(out_size) over the envelope k*t + (kn/t)*log2(s)."""
-        kn = max(self.k * self.n, 1)
-        envelope = self.k * self.t + (kn / self.t) * math.log2(max(self.s, 2))
-        return math.log2(max(self.out_size, 1)) / envelope if envelope > 0 else float("inf")
+        return envelope_ratio(self.out_size, self.k, self.n, self.t, self.s)
 
     def to_json_dict(self) -> dict:
         d = {key: getattr(self, key) for key in self._JSON_KEYS}
@@ -301,16 +296,6 @@ class ExpansionReport:
 # ---------------------------------------------------------------------------
 # one reduction level
 # ---------------------------------------------------------------------------
-
-
-def _zero_values(circuit: Circuit) -> list:
-    """Gate values at the all-zero point; the value of any |Var| = 0 gate
-    equals its constant polynomial."""
-    cached = circuit.__dict__.get("_zero_values")
-    if cached is None:
-        cached = circuit.gate_values([0] * circuit.n)
-        circuit.__dict__["_zero_values"] = cached
-    return cached
 
 
 def _gate_summands(circuit: Circuit, var, g: int, zero_vals) -> List[Tuple[int, tuple]]:
@@ -356,7 +341,18 @@ def reduce_depth4(
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
     """Balanced circuit -> depth-4 layered form with every bottom
     polynomial of |Var| at most t."""
+    _require_balanced(check_balanced(balanced))
     return _reduce_level(balanced, 2, t, s_stat, budget)
+
+
+def _require_balanced(scan) -> None:
+    """Refuse a circuit whose balance scan (a BalanceScan or balance()'s
+    BalanceReport) fails the halving or fan-in condition."""
+    if not scan.halving_ok or scan.max_mul_fanin > 5:
+        raise NotBalanced(
+            f"input fails the balance scan (halving_ok={scan.halving_ok}, "
+            f"max_mul_fanin={scan.max_mul_fanin})"
+        )
 
 
 def _reduce_level(
@@ -366,15 +362,9 @@ def _reduce_level(
     s_stat: Optional[int],
     budget: int,
 ) -> Tuple[LayeredCircuit, ExpansionReport]:
-    """One reduction level: explore to factors of |Var| at most t, then
-    expand each factor gate (Delta = 2) or reduce its cone to product
-    depth Delta - 1 at the threshold schedule below t."""
-    scan = check_balanced(balanced)
-    if not scan.halving_ok or scan.max_mul_fanin > 5:
-        raise NotBalanced(
-            f"input fails the balance scan (halving_ok={scan.halving_ok}, "
-            f"max_mul_fanin={scan.max_mul_fanin})"
-        )
+    """One reduction level of a circuit that passes the balance scan:
+    explore to factors of |Var| at most t, then expand each factor gate
+    (Delta = 2) or reduce its cone to product depth Delta - 1."""
     var = compute_var(balanced)
     k = max(var.max_coord, 1)
     n = balanced.n
@@ -382,7 +372,7 @@ def _reduce_level(
     if not (1 <= t <= kn):
         raise InvalidParams(f"threshold t={t} outside [1, {kn}]")
     s = s_stat if s_stat is not None else max(balanced.size(), 2)
-    zero_vals = _zero_values(balanced)
+    zero_vals = balanced.gate_values([0] * n)
     p = balanced.field.p
 
     summand_cache: Dict[int, list] = {}
@@ -419,16 +409,18 @@ def _reduce_level(
         # sub-multiset compare *after* its parent despite being a prefix.
         return tuple(-f for f in sorted(factors, reverse=True)) + (1,)
 
+    # A child swaps its parent's heaviest gate for that gate's children,
+    # which have smaller ids, so it is smaller than its parent.  Popped in
+    # decreasing order, a node has received every contribution, and
+    # ``states`` holds exactly the nodes on the heap.
     # state: factors tuple -> [coeff, count, depth]
     states: Dict[tuple, list] = {root: [root_coeff % p, 1, 0]}
     heap = [(heap_key(root), root)]
-    in_heap = {root}
     leaves: Dict[tuple, list] = {}
     max_depth = 0
 
     while heap:
         _, factors = heapq.heappop(heap)
-        in_heap.discard(factors)
         st = states.pop(factors)
         coeff, count, depth = st
         max_depth = max(max_depth, depth)
@@ -453,8 +445,6 @@ def _reduce_level(
                     )
             child_coeff = coeff * sc % p
             entry = states.get(child)
-            if entry is None and child in leaves:
-                entry = leaves[child]
             if entry is not None:
                 entry[0] = (entry[0] + child_coeff) % p
                 entry[1] += count
@@ -465,30 +455,19 @@ def _reduce_level(
                     raise ExpansionTooLarge(
                         f"more than {MAX_PRODUCTS} distinct product nodes"
                     )
-                if child not in in_heap:
-                    heapq.heappush(heap, (heap_key(child), child))
-                    in_heap.add(child)
-
-    # A leaf reached along one path may later receive contributions from a
-    # deeper path; the topological pop order above already guarantees all
-    # contributions arrived before the leaf was popped, and contributions
-    # into an already-popped leaf (stored in ``leaves``) are merged in place.
+                heapq.heappush(heap, (heap_key(child), child))
 
     factor_gates = sorted({f for fac in leaves for f in fac})
     if delta == 2:
         expander = CircuitExpander(balanced, budget)
         pool = [expander.expand(g) for g in factor_gates]
     else:
-        pool = [
-            _reduce_rec(extract_subcircuit(balanced, g), delta - 1, t, s, None, budget)[0]
-            for g in factor_gates
-        ]
+        pool = [_reduce_cone(balanced, g, delta - 1, t, s, budget) for g in factor_gates]
     index = {g: i for i, g in enumerate(factor_gates)}
     products = []
     top_fanin = 0
     for fac in sorted(leaves):
-        coeff, count, depth = leaves[fac]
-        max_depth = max(max_depth, depth)
+        coeff, count, _ = leaves[fac]
         top_fanin += count
         products.append(Summand(count=count, coeff=coeff, factors=tuple(index[f] for f in fac)))
 
@@ -515,6 +494,7 @@ def _reduce_level(
 
 def extract_subcircuit(circuit: Circuit, gate: int) -> Circuit:
     """Cone of one gate, densely renumbered, with that gate as output."""
+    require_gate(circuit, gate)
     mask = circuit.cone(gate)
     remap = {}
     gates = []
@@ -542,45 +522,44 @@ def reduce_depth_delta(
     Delta-level threshold whose pool holds every bottom factor reduced to
     product depth Delta - 1 (expanded into monomials at Delta = 2).
 
-    Each recursion level keeps the top-level size statistic s and budgets
-    its threshold against the *parent level's* t (the bottom factors carry
-    at most that much Var mass), so the per-level thresholds fall
-    geometrically instead of resetting to the kn-based value.
+    The input is scanned once.  When it has to be balanced, balance()'s
+    own report of its output stands in for a second scan.
     """
     if delta < 2:
         raise InvalidParams(f"delta must be >= 2, got {delta}")
     scan = check_balanced(circuit)
     if scan.halving_ok and scan.max_mul_fanin <= 5:
-        bal = circuit
-        s_stat = max(circuit.size(), 2)
+        bal, s_stat = circuit, max(circuit.size(), 2)
     else:
         norm = normalized(circuit)
         s_stat = max(norm.size(), 2)
-        bal, _ = balance(norm)
-    k = max(inferred_k(bal), 1)
-    potential = k * bal.n
-    layered, report = _reduce_rec(bal, delta, potential, s_stat, t, budget)
+        bal, scan = balance(norm)
+        _require_balanced(scan)
+    if t is None:
+        t = _threshold(max(inferred_k(bal), 1) * bal.n, s_stat, delta)
+    layered, report = _reduce_level(bal, delta, t, s_stat, budget)
     # flattened here, once: out_size, evaluation, expansion, reports and
     # serialization all read this circuit
     layered.flatten()
     return layered, report
 
 
-def _reduce_rec(
-    bal: Circuit,
-    delta: int,
-    potential: int,
-    s_stat: int,
-    t: Optional[int],
-    budget: int,
-) -> Tuple[LayeredCircuit, ExpansionReport]:
-    """This level's threshold (t when given), then the level itself."""
-    if t is not None:
-        t_val = t
-    else:
-        # a sub-circuit may realize a smaller potential than its budget
-        kn_here = max(inferred_k(bal), 1) * bal.n
-        t_val = min(_threshold(potential, s_stat, delta), max(kn_here, 1))
+def _reduce_cone(
+    balanced: Circuit, gate: int, delta: int, parent_t: int, s_stat: int, budget: int
+) -> LayeredCircuit:
+    """A nested level: the cone of one factor gate reduced to product depth
+    Delta.  Its threshold keeps the top-level s and is budgeted against the
+    parent level's t (the factor carries at most that much Var mass), so
+    the thresholds fall geometrically; a cone may realize less than that.
+
+    The cone passes the balance scan because its parent did (see the
+    module docstring), so only a Delta = 2 cone, which enters through
+    reduce_depth4, or the output's cone of a circuit with gates above its
+    output is scanned again."""
+    cone = extract_subcircuit(balanced, gate)
+    t = min(_threshold(parent_t, s_stat, delta), max(inferred_k(cone), 1) * cone.n)
     if delta == 2:
-        return reduce_depth4(bal, t_val, budget, s_stat)
-    return _reduce_level(bal, delta, t_val, s_stat, budget)
+        return reduce_depth4(cone, t, budget, s_stat)[0]
+    if gate == balanced.output != balanced.num_gates - 1:
+        _require_balanced(check_balanced(cone))
+    return _reduce_level(cone, delta, t, s_stat, budget)[0]

@@ -15,7 +15,7 @@ tuples are built only if a caller reads the terms.
 from typing import Dict
 
 from .analysis import compute_var
-from .circuit import ADD, CONST, INPUT, Circuit
+from .circuit import ADD, CONST, INPUT, Circuit, require_gate
 from .errors import ExpansionTooLarge
 from .sparse import SparsePolynomial, key_width, variable_key
 
@@ -59,6 +59,7 @@ class CircuitExpander:
         return bound
 
     def expand(self, gate: int) -> SparsePolynomial:
+        require_gate(self.circuit, gate)
         self.check_budget(gate)
         c = self.circuit
         return SparsePolynomial.from_packed(c.n, c.field, self.width, self._sweep(gate))

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import backends
 from .analysis import VarVector, compute_var
-from .circuit import ADD, MUL, Circuit, require_valid
+from .circuit import ADD, MUL, Circuit, require_gate, require_valid
 from .errors import InvalidCircuit, PreconditionViolated
 
 
@@ -119,8 +119,7 @@ def quotient_table(circuit: Circuit, v: int) -> QuotientTable:
     treated as left-associated, with the snip descending into the last
     child.
     """
-    if not (0 <= v < circuit.num_gates):
-        raise InvalidCircuit(f"no gate {v}")
+    require_gate(circuit, v)
     cache = circuit.__dict__.setdefault("_quotient_tables", {})
     table = cache.get(v)
     if table is None:
@@ -169,12 +168,21 @@ def quotient_values_batch(circuit: Circuit, v: int, columns) -> list:
 
 def eval_quotient(circuit: Circuit, u: int, v: int, point) -> int:
     """Value of the polynomial [u:v] at a point."""
+    require_gate(circuit, u)  # quotient_table checks v
     return quotient_values_batch(circuit, v, [circuit.gate_values(point)])[0][u]
 
 
 # ---------------------------------------------------------------------------
 # frontier edges
 # ---------------------------------------------------------------------------
+
+
+def _potentials(circuit: Circuit, target: Optional[int]) -> list:
+    """Every gate's |Var|, or with a target its |Var(.:target)|, where None
+    marks a gate that does not reach the target."""
+    if target is None:
+        return compute_var(circuit).totals
+    return quotient_table(circuit, target).totals
 
 
 @dataclass
@@ -203,21 +211,14 @@ def frontier_edges(circuit: Circuit, m: int, target: Optional[int] = None) -> Fr
     require_valid(circuit)
     if m < 1:
         raise PreconditionViolated(f"threshold m must be positive, got {m}")
-    if target is None:
-        table = compute_var(circuit)
-        totals = table.totals
-        defined = [True] * circuit.num_gates
-    else:
-        qt = quotient_table(circuit, target)
-        totals = qt.totals
-        defined = qt.reachable
+    totals = _potentials(circuit, target)
     mul_edges = set()
     add_edges = set()
     for g1, gate in enumerate(circuit.gates):
-        if gate.kind not in (ADD, MUL) or not defined[g1] or totals[g1] < m:
+        if gate.kind not in (ADD, MUL) or totals[g1] is None or totals[g1] < m:
             continue
         for g2 in gate.children:
-            if defined[g2] and totals[g2] < m:
+            if totals[g2] is not None and totals[g2] < m:
                 (mul_edges if gate.kind == MUL else add_edges).add((g1, g2))
     return FrontierSet(m, target, sorted(mul_edges), sorted(add_edges))
 
@@ -243,29 +244,23 @@ def decomposition_terms(
     quotient [u:w] or tail [z:target] is identically zero are dropped;
     both filters only remove summands that contribute nothing.
     """
-    if target is None:
-        table = compute_var(circuit)
-        totals = table.totals
-        defined = [True] * circuit.num_gates
-    else:
-        qt = quotient_table(circuit, target)
-        totals = qt.totals
-        defined = qt.reachable
+    require_gate(circuit, u)
+    totals = _potentials(circuit, target)
     terms = []
     # any w on a rightmost path under u has a smaller-or-equal topological id
     for w in range(u + 1):
-        if not defined[w] or totals[w] < m:
+        if totals[w] is None or totals[w] < m:
             continue
         if w != u and not quotient_table(circuit, w).reachable[u]:
             continue
         gate = circuit.gates[w]
         if gate.kind == MUL:
             z = gate.children[-1]
-            if defined[z] and totals[z] < m:
+            if totals[z] is not None and totals[z] < m:
                 terms.append(DecompositionTerm(w, z, True))
         elif gate.kind == ADD:
             for z in gate.children:
-                if defined[z] and totals[z] < m:
+                if totals[z] is not None and totals[z] < m:
                     terms.append(DecompositionTerm(w, z, False))
     return terms
 
@@ -319,6 +314,9 @@ def check_decomposition(
     The identities are exact, so any disagreement is a hard failure.
     """
     require_valid(circuit)
+    require_gate(circuit, u)
+    if v is not None:
+        require_gate(circuit, v)
     if any(g.fanin() > 2 for g in circuit.gates):
         raise InvalidCircuit("decomposition checks need fan-in <= 2 (normalize first)")
     table = compute_var(circuit)

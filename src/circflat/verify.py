@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from . import backends
 from .analysis import compute_var
-from .circuit import ADD, CONST, INPUT, MUL, Circuit
+from .circuit import ADD, CONST, INPUT, MUL, Circuit, require_gate
 from .errors import ExpansionTooLarge, IncompatibleArity, InvalidParams, TooManyProofTrees
 from .expand import DEFAULT_BUDGET, brute_force_expand
 from .sparse import SparsePolynomial, key_width, unpack_keys, variable_key
@@ -46,6 +46,9 @@ from .sparse import SparsePolynomial, key_width, unpack_keys, variable_key
 def count_proof_trees(circuit: Circuit, root: int, snip: Optional[int] = None) -> int:
     """Number of (snipped) proof-trees rooted at ``root``, by a counting
     sweep; exact in arbitrary precision."""
+    require_gate(circuit, root)
+    if snip is not None:
+        require_gate(circuit, snip)
     plain = [0] * (root + 1)
     for g in range(root + 1):
         gate = circuit.gates[g]
@@ -337,20 +340,19 @@ def _certified_degree(circuit: Circuit) -> Tuple[int, bool]:
 
 
 def structural_report(obj, degree_budget: int = DEFAULT_BUDGET) -> StructuralReport:
-    """Deterministic full scan of a circuit or a layered circuit (a layered
-    circuit is scanned flattened).
+    """Deterministic full scan of a circuit or a layered circuit.
+
+    A layered circuit is scanned flattened, but reports its own top fan-in
+    and alternation structure: the scan of the flattened circuit would
+    contract degenerate fan-in-1 layers.
 
     :func:`_certified_degree` proves the exact degree without expanding.
     Only when it cannot (cancellation, the zero polynomial or an unlucky
     point) does the report run ``brute_force_expand`` within
     ``degree_budget``; when that refuses, ``degree`` is the formal degree,
     an upper bound, and ``degree_exact`` is false."""
-    if isinstance(obj, Circuit):
-        return _circuit_report(obj, degree_budget)
-    return obj.structural_report(degree_budget)
-
-
-def _circuit_report(circuit: Circuit, degree_budget: int) -> StructuralReport:
+    layered = not isinstance(obj, Circuit)
+    circuit = obj.flatten() if layered else obj
     var = compute_var(circuit)
     counts = {INPUT: 0, CONST: 0, ADD: 0, MUL: 0}
     max_add = 0
@@ -380,20 +382,28 @@ def _circuit_report(circuit: Circuit, degree_budget: int) -> StructuralReport:
         except ExpansionTooLarge:
             pass
     return StructuralReport(
-        kind="circuit",
+        kind="layered" if layered else "circuit",
         n=circuit.n,
         modulus=circuit.field.p,
         size=circuit.size(),
         gate_counts=counts,
-        depth=depth[circuit.output],
-        product_depth=pblocks[circuit.output],
+        depth=2 * obj.delta if layered else depth[circuit.output],
+        product_depth=obj.product_depth() if layered else pblocks[circuit.output],
         max_fanin_add=max_add,
         max_fanin_mul=max_mul,
         k=var.max_coord,
         var_output=var.total(circuit.output),
         degree=degree,
         degree_exact=exact,
+        top_fanin=obj.top_fanin() if layered else None,
     )
+
+
+def envelope_ratio(size: int, k: int, n: int, t: int, s: int) -> float:
+    """log2(size) over the envelope k*t + (kn/t)*log2(s), kn at least 1."""
+    kn = max(k * n, 1)
+    envelope = k * t + (kn / t) * math.log2(max(s, 2))
+    return math.log2(max(size, 1)) / envelope if envelope > 0 else float("inf")
 
 
 @dataclass
@@ -425,9 +435,6 @@ class BoundReport:
 
 def check_bounds(before: StructuralReport, after: StructuralReport, schedule) -> BoundReport:
     n, k, s, t = schedule.n, schedule.k, schedule.s, schedule.t_value
-    envelope = k * t + (k * n / t) * math.log2(max(s, 2))
-    after_size = max(after.size, 1)
-    bound_ratio = math.log2(after_size) / envelope if envelope > 0 else float("inf")
     top = after.top_fanin if after.top_fanin is not None else 1
     top = max(int(top), 1)
     denom = (k * n / t) * math.log2(max(s, 2))
@@ -441,6 +448,6 @@ def check_bounds(before: StructuralReport, after: StructuralReport, schedule) ->
         before_size=before.size,
         after_size=after.size,
         top_fanin=top,
-        bound_ratio=bound_ratio,
+        bound_ratio=envelope_ratio(after.size, k, n, t, s),
         topfanin_ratio=topfanin_ratio,
     )

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from circflat import FieldSpec
+from circflat import (
+    FieldSpec,
+    check_decomposition,
+    count_proof_trees,
+    decomposition_terms,
+    enumerate_proof_trees,
+    eval_quotient,
+    expand_gate,
+    extract_subcircuit,
+    normalized,
+    proof_tree_sum,
+    random_multilinear,
+)
 from circflat.circuit import Circuit, Gate, input_gate, mul_gate, parse, validate
-from circflat.errors import ParseError
+from circflat.errors import InvalidCircuit, ParseError
 
 from conftest import build, pos22
 
@@ -112,3 +124,31 @@ def test_size_counts_edges():
     assert c.size() == 6
     assert build(1, [input_gate(1)]).size() == 0
     assert build(2, [input_gate(1), input_gate(2), mul_gate((0, 1, 0))]).size() == 3
+
+
+# The public entries that take a gate id, called with that id as ``g``.
+GATE_ID_ENTRIES = {
+    "check_decomposition u": lambda c, g: check_decomposition(c, g, None, 2),
+    "check_decomposition v": lambda c, g: check_decomposition(c, 36, g, 2),
+    "decomposition_terms": lambda c, g: decomposition_terms(c, g, 2),
+    "eval_quotient u": lambda c, g: eval_quotient(c, g, 0, [1] * c.n),
+    "eval_quotient v": lambda c, g: eval_quotient(c, 36, g, [1] * c.n),
+    "extract_subcircuit": lambda c, g: extract_subcircuit(c, g),
+    "expand_gate": lambda c, g: expand_gate(c, g),
+    "count_proof_trees root": lambda c, g: count_proof_trees(c, g),
+    "count_proof_trees snip": lambda c, g: count_proof_trees(c, 36, g),
+    "enumerate_proof_trees snip": lambda c, g: enumerate_proof_trees(c, 36, g),
+    "proof_tree_sum root": lambda c, g: proof_tree_sum(c, g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATE_ID_ENTRIES))
+@pytest.mark.parametrize("past_end", [False, True])
+def test_gate_ids_out_of_range_raise(entry, past_end):
+    # a negative id used to index from the end: check_decomposition said
+    # "fails" on gate -1 where the same gate, 36, holds
+    c = normalized(random_multilinear(40, 6, seed=0))
+    assert c.num_gates == 37 and check_decomposition(c, 36, None, 2).holds
+    g = c.num_gates if past_end else -1
+    with pytest.raises(InvalidCircuit, match=f"no gate {g}$"):
+        GATE_ID_ENTRIES[entry](c, g)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circflat.depth_reduce as depth_reduce
 from circflat import (
@@ -14,9 +16,11 @@ from circflat import (
     backends,
     balance,
     brute_force_expand,
+    check_balanced,
     choose_t,
     compute_var,
     expand_gate,
+    expansion_bound,
     random_equiv,
     reduce_depth4,
     reduce_depth_delta,
@@ -25,7 +29,7 @@ from circflat import (
 from circflat.balance import BalanceScan
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
 from circflat.errors import ExpansionTooLarge, InvalidParams, NotBalanced
-from circflat.expand import CircuitExpander
+from circflat.expand import DEFAULT_BUDGET, CircuitExpander
 from circflat.field import FieldSpec
 from circflat.generators import (
     product_of_sums,
@@ -37,6 +41,7 @@ from circflat.normalize import normalized
 from circflat.sparse import SparsePolynomial
 
 from conftest import build, pos22
+from test_var import circuits
 
 
 # -- schedules ----------------------------------------------------------------
@@ -254,6 +259,72 @@ def test_delta_expands_only_the_bottom_pools(monkeypatch):
     layered, _ = reduce_depth_delta(random_multilinear(40, 6, seed=0), 3)
     assert layered.product_depth() == 3
     assert len(calls) == len(layered.bottom_var_masses())
+
+
+def passes_scan(c) -> bool:
+    scan = check_balanced(c)
+    return scan.halving_ok and scan.max_mul_fanin <= 5
+
+
+def test_reduce_depth_delta_scans_its_input_once(monkeypatch):
+    # an unbalanced input is balanced, and balance()'s report of its
+    # output stands in for a second scan
+    calls = []
+    scan = depth_reduce.check_balanced
+    monkeypatch.setattr(depth_reduce, "check_balanced", lambda c: calls.append(c) or scan(c))
+    c = random_multilinear(40, 6, seed=0)
+    bal, _ = balance(normalized(c))
+    assert not passes_scan(c) and passes_scan(bal)
+    for inp in (c, bal):
+        calls.clear()
+        reduce_depth_delta(inp, 2)
+        assert calls == [inp]
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(max_fanin=4), st.sampled_from([2, 3, 4]))
+def test_reduction_exact_and_every_cone_balanced(c, delta):
+    """Nested levels do not scan their cones: every cone must pass the
+    scan anyway."""
+    cones = []
+    extract = depth_reduce.extract_subcircuit
+
+    def spy(circuit, gate):
+        cones.append(extract(circuit, gate))
+        return cones[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depth_reduce, "extract_subcircuit", spy)
+        try:
+            layered, _ = reduce_depth_delta(c, delta)
+        except NotBalanced:
+            # the one refusal of a scanned input: the output's cone, when
+            # the output has parents (test_output_cone_under_gates_above_the_output_is_scanned)
+            assert c.output != c.num_gates - 1
+            return
+    assert all(passes_scan(cone) for cone in cones)
+    if expansion_bound(c, c.output) <= DEFAULT_BUDGET:
+        assert layered.expand() == brute_force_expand(c)
+
+
+def test_output_cone_under_gates_above_the_output_is_scanned():
+    """x1^9 = x1^6 * x1^3 fails the halving check as a product, but the
+    scan skips it: its one parent, a sum above the output, has the larger
+    |Var| 45.  Its cone is therefore the one a nested level still scans."""
+    gates = [
+        input_gate(1),
+        mul_gate((0, 0, 0)),  # x^3
+        mul_gate((1, 1)),  # x^6
+        mul_gate((2, 1, 2)),  # x^15
+        mul_gate((3, 3, 3)),  # x^45
+        mul_gate((2, 1)),  # x^9, the output
+        add_gate((5, 0, 4)),
+    ]
+    c = build(1, gates, output=5)
+    assert passes_scan(c)
+    assert not passes_scan(depth_reduce.extract_subcircuit(c, 5))
+    with pytest.raises(NotBalanced, match="balance scan"):
+        reduce_depth_delta(c, 5)
 
 
 def test_delta_bound_ratio_uses_returned_out_size():
