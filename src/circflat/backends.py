@@ -165,7 +165,7 @@ def addmod_vec(a, b, p):
     return np.where(s >= p, s - p, s)
 
 
-def eval_program(kinds, payload, child_off, children, points, p):
+def eval_program(kinds, payload, child_off, children, points, p, *, rows=None):
     """Evaluate every gate of an encoded circuit at a batch of points,
     level by level.
 
@@ -174,10 +174,12 @@ def eval_program(kinds, payload, child_off, children, points, p):
     level's sums and then its products are evaluated together, in blocks of
     at most ``LEVEL_BLOCK`` words (:func:`_sums`, :func:`_products`).
     Returns a (ngates, npoints) table of values mod p, of
-    ``field_dtype(p)``; the payload must have that dtype too.  At a
-    Montgomery prime the points and constants enter Montgomery form (times
-    R^2, then REDC) and the finished table leaves it (REDC), in blocks of
-    ``LEVEL_BLOCK`` words.
+    ``field_dtype(p)``; the payload must have that dtype too.  Given
+    ``rows`` (a gate index or index array), it returns ``table[rows]``
+    only.  At a Montgomery prime the points and constants enter Montgomery
+    form (times R^2, then REDC) and the returned values leave it (REDC), in
+    blocks of ``LEVEL_BLOCK`` words, so unselected rows are never
+    converted.
     """
     dtype = field_dtype(p)
     redc = _redc_constants(int(p))
@@ -200,6 +202,8 @@ def eval_program(kinds, payload, child_off, children, points, p):
     first = child_off[gates]
     for lo, hi, kernel in groups:
         kernel(vals, gates[lo:hi], fan[lo:hi], first[lo:hi], children, p, step)
+    if rows is not None:
+        vals = np.ascontiguousarray(vals[rows])
     if redc is not None:
         _in_blocks(vals, lambda x: _redc(_ZERO, x, redc))
     return vals

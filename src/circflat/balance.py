@@ -84,9 +84,9 @@ def check_balanced(circuit: Circuit) -> BalanceScan:
     contributes its own children as factors, any other child is a
     single-factor summand) and require each factor's |Var| within half the
     sum's |Var|.  Products reached outside a sum (no sum parent, or nested
-    inside another product) are additionally checked against their own
-    |Var|, except scalar scalings (at most one variable-carrying child),
-    which have no mass to split.
+    inside another product) and an output product are additionally checked
+    against their own |Var|, except scalar scalings (at most one
+    variable-carrying child), which have no mass to split.
     """
     require_valid(circuit)
     var = compute_var(circuit)
@@ -117,7 +117,7 @@ def check_balanced(circuit: Circuit) -> BalanceScan:
                     if 2 * var.total(h) > total:
                         halving = False
         elif gate.kind == MUL:
-            if not mul_parents.get(g) and add_parents.get(g):
+            if g != circuit.output and not mul_parents.get(g) and add_parents.get(g):
                 continue  # covered by the sum(s) it feeds
             carrying = sum(1 for c in gate.children if var.total(c) > 0)
             if carrying < 2:

@@ -162,12 +162,16 @@ class Circuit:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Output-gate values at a batch of points.  The points go through
-        :meth:`eval_table` in chunks whose table holds at most
-        ``backends.TABLE_BLOCK`` words, and only the output row is kept."""
-        out = np.empty(points.shape[0], dtype=backends.field_dtype(self.field.p))
+        ``backends.eval_program`` in chunks whose table holds at most
+        ``backends.TABLE_BLOCK`` words, and only the output row is returned
+        (and, at a Montgomery prime, converted out of Montgomery form)."""
+        program = self.program()
+        p = self.field.p
+        out = np.empty(points.shape[0], dtype=backends.field_dtype(p))
         step = max(1, backends.TABLE_BLOCK // self.num_gates)
         for lo in range(0, points.shape[0], step):
-            out[lo : lo + step] = self.eval_table(points[lo : lo + step])[self.output]
+            chunk = points[lo : lo + step]
+            out[lo : lo + step] = backends.eval_program(*program, chunk, p, rows=self.output)
         return out
 
     def gate_values(self, point) -> list:

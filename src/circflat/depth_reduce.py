@@ -24,9 +24,9 @@ Each public call scans its input with check_balanced once, and nested
 levels trust their cones: a cone passes the scan whenever its parent
 does.  The sum checks are local, and every non-root gate of a cone has a
 parent inside it, so the one new check is the root's, a product against
-its own |Var|.  A product factor is a product's child, which the parent's
-scan checked the same way.  The exception is the output as a factor when
-sums sit above it (balance() emits none): that cone alone is scanned.
+its own |Var|.  A product factor is either the output, which the scan
+always checks as a product, or a product's child, which it checks the
+same way.
 """
 
 import heapq
@@ -554,12 +554,9 @@ def _reduce_cone(
 
     The cone passes the balance scan because its parent did (see the
     module docstring), so only a Delta = 2 cone, which enters through
-    reduce_depth4, or the output's cone of a circuit with gates above its
-    output is scanned again."""
+    reduce_depth4, is scanned again."""
     cone = extract_subcircuit(balanced, gate)
     t = min(_threshold(parent_t, s_stat, delta), max(inferred_k(cone), 1) * cone.n)
     if delta == 2:
         return reduce_depth4(cone, t, budget, s_stat)[0]
-    if gate == balanced.output != balanced.num_gates - 1:
-        _require_balanced(check_balanced(cone))
     return _reduce_level(cone, delta, t, s_stat, budget)[0]

@@ -6,10 +6,20 @@ exactly when that product stays within a budget.  One sweep serves every
 prime: each gate's polynomial is a dict in the packed form of
 :mod:`circflat.sparse`, from a Python-int exponent key to a coefficient
 mod p, so a sum merges dicts and a product adds keys and multiplies
-coefficients, reducing once per output key.  The polynomials met here are
-mostly a handful of terms, where one dict operation is far cheaper than
-one numpy call.  A gate's dict becomes its polynomial as it is; exponent
-tuples are built only if a caller reads the terms.
+coefficients.  The polynomials met here are mostly a handful of terms,
+where one dict operation is far cheaper than one numpy call.  A gate's
+dict becomes its polynomial as it is; exponent tuples are built only if a
+caller reads the terms.
+
+Each product step is one dict comprehension over the term pairs, and each
+sum one ``update`` per child.  In a syntactically multilinear circuit a
+product's factors have disjoint variables, so their monomials never
+collide, and a sum's children mostly share no monomial either.  The
+comprehension is then exact: it has one entry per pair, and a product of
+two nonzero residues mod a prime is nonzero.  So is the update when its
+length is the children's lengths added up.  Only when keys collided does
+the step fall back to summing per key and reducing once per output key.
+Both ways insert keys in the same order.
 """
 
 from typing import Dict
@@ -84,21 +94,33 @@ class CircuitExpander:
             elif gd.kind == CONST:
                 memo[g] = {0: gd.value % p} if gd.value % p else {}
             elif gd.kind == ADD:
-                acc = dict(memo[gd.children[0]])
-                for ch in gd.children[1:]:
-                    for k, v in memo[ch].items():
-                        acc[k] = acc.get(k, 0) + v
-                memo[g] = {k: v % p for k, v in acc.items() if v % p}
+                kids = [memo[ch] for ch in gd.children]
+                acc = dict(kids[0])
+                for d in kids[1:]:
+                    acc.update(d)
+                if len(acc) != sum(map(len, kids)):  # keys collided
+                    acc = dict(kids[0])
+                    for d in kids[1:]:
+                        for k, v in d.items():
+                            acc[k] = acc.get(k, 0) + v
+                    acc = {k: v % p for k, v in acc.items() if v % p}
+                memo[g] = acc
             else:
                 acc = memo[gd.children[0]]
                 for ch in gd.children[1:]:
-                    out: Dict[int, int] = {}
-                    get = out.get
-                    for kb, cb in memo[ch].items():
-                        for ka, ca in acc.items():
-                            k = ka + kb
-                            out[k] = get(k, 0) + ca * cb
-                    acc = {k: v % p for k, v in out.items() if v % p}
+                    other = memo[ch]
+                    out = {
+                        ka + kb: ca * cb % p for kb, cb in other.items() for ka, ca in acc.items()
+                    }
+                    if len(out) != len(acc) * len(other):  # keys collided
+                        out = {}
+                        get = out.get
+                        for kb, cb in other.items():
+                            for ka, ca in acc.items():
+                                k = ka + kb
+                                out[k] = get(k, 0) + ca * cb
+                        out = {k: v % p for k, v in out.items() if v % p}
+                    acc = out
                 memo[g] = acc
         return memo[gate]
 

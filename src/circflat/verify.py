@@ -31,6 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import backends
 from .analysis import compute_var
 from .circuit import ADD, CONST, INPUT, MUL, Circuit, require_gate
@@ -81,9 +83,10 @@ def count_proof_trees(circuit: Circuit, root: int, snip: Optional[int] = None) -
 
 class _TreeEnumerator:
     """Materializes every (snipped) proof-tree rooted at ``root`` as a packed
-    monomial key and a coefficient; :meth:`paths` lists the trees'
-    rightmost paths in the same order, for callers that want them.  Choice
-    order follows child order, so the output is deterministic.
+    monomial key and a coefficient, a residue mod p (a constant leaf is
+    reduced); :meth:`paths` lists the trees' rightmost paths in the same
+    order, for callers that want them.  Choice order follows child order,
+    so the output is deterministic.
 
     Keys are in the packed form of :mod:`circflat.sparse`: variable i owns
     bytes [w*i, w*(i+1)) of the little-endian key, where w bytes hold the
@@ -116,7 +119,7 @@ class _TreeEnumerator:
         if gate.kind == INPUT:
             out = [(variable_key(gate.var, self.width), 1)]
         elif gate.kind == CONST:
-            out = [(0, gate.value)]
+            out = [(0, gate.value % self.c.field.p)]
         elif gate.kind == ADD:
             out = [tree for c in gate.children for tree in self.plain(c)]
         else:
@@ -195,13 +198,19 @@ def proof_tree_sum(
 ) -> SparsePolynomial:
     """Sum of the values of all (snipped) proof-trees, as a polynomial
     over packed keys: coefficients are summed per key and reduced mod p,
-    and keys whose sum is zero are dropped."""
+    and keys whose sum is zero are dropped.  Tree coefficients are
+    residues, so when no two trees share a key the trees' dict is the sum
+    as it stands, less any zero coefficient."""
     enum, trees = _packed_trees(circuit, root, snip, cap)
-    sums = {}
-    for key, coeff in trees:
-        sums[key] = sums.get(key, 0) + coeff
-    p = circuit.field.p
-    packed = {key: v % p for key, v in sums.items() if v % p}
+    packed = dict(trees)
+    if len(packed) != len(trees):  # keys repeat: sum each key's trees
+        sums = {}
+        for key, coeff in trees:
+            sums[key] = sums.get(key, 0) + coeff
+        p = circuit.field.p
+        packed = {key: v % p for key, v in sums.items() if v % p}
+    elif not all(packed.values()):  # residues already; a 0 leaf makes a 0
+        packed = {key: v for key, v in packed.items() if v}
     return SparsePolynomial.from_packed(circuit.n, circuit.field, enum.width, packed)
 
 
@@ -253,16 +262,16 @@ def random_equiv(a, b, trials: int = 20, seed: int = 0) -> EquivResult:
     points = backends.random_point_batch(seed, trials, na, pa)
     va = a.evaluate_batch(points)
     vb = b.evaluate_batch(points)
-    for t in range(trials):
-        x, y = int(va[t]), int(vb[t])
-        if x != y:
-            return EquivResult(
-                NOT_EQUIVALENT,
-                trials,
-                seed,
-                witness=[int(c) for c in points[t]],
-                values=(x, y),
-            )
+    differ = np.flatnonzero(va != vb)
+    if differ.shape[0]:
+        t = int(differ[0])
+        return EquivResult(
+            NOT_EQUIVALENT,
+            trials,
+            seed,
+            witness=[int(c) for c in points[t]],
+            values=(int(va[t]), int(vb[t])),
+        )
     return EquivResult(EQUIVALENT, trials, seed)
 
 

@@ -183,15 +183,33 @@ def test_sparse_evaluate_batch_runs_on_eval_program(monkeypatch):
     calls = []
     real = backends.eval_program
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(backends, "eval_program", spy)
     poly = SparsePolynomial(2, FieldSpec(MERSENNE61), {(1, 2): 3, (0, 0): 1})
     points = np.array([[2, 5]], dtype=np.uint64)
     assert poly.evaluate_batch(points).tolist() == [(3 * 2 * 25 + 1)]
     assert len(calls) == 1
+
+
+def test_evaluate_batch_converts_only_the_output_row():
+    """At a Montgomery prime, over more points than one TABLE_BLOCK chunk,
+    the output row equals the per-point sweep, and eval_table still
+    returns every row converted out of Montgomery form."""
+    p = (1 << 62) - 57
+    c = random_multilinear(60, 6, seed=4, field=FieldSpec(p))
+    step = backends.TABLE_BLOCK // c.num_gates
+    points = backends.random_point_batch(9, 2 * step + 5, c.n, p)
+    got = c.evaluate_batch(points)
+    assert got.dtype == np.uint64 and got.shape == (points.shape[0],)
+    assert got.tolist() == [c.gate_values(x)[c.output] for x in points.tolist()]
+    table = c.eval_table(points[:4])
+    assert table.T.tolist() == [c.gate_values(x) for x in points[:4].tolist()]
+    rows = [0, c.output]
+    picked = backends.eval_program(*c.program(), points[:4], p, rows=rows)
+    assert picked.tolist() == table[rows].tolist()
 
 
 @settings(max_examples=80, deadline=None)

@@ -295,22 +295,17 @@ def test_reduction_exact_and_every_cone_balanced(c, delta):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(depth_reduce, "extract_subcircuit", spy)
-        try:
-            layered, _ = reduce_depth_delta(c, delta)
-        except NotBalanced:
-            # the one refusal of a scanned input: the output's cone, when
-            # the output has parents (test_output_cone_under_gates_above_the_output_is_scanned)
-            assert c.output != c.num_gates - 1
-            return
+        layered, _ = reduce_depth_delta(c, delta)
     assert all(passes_scan(cone) for cone in cones)
     if expansion_bound(c, c.output) <= DEFAULT_BUDGET:
         assert layered.expand() == brute_force_expand(c)
 
 
 def test_output_cone_under_gates_above_the_output_is_scanned():
-    """x1^9 = x1^6 * x1^3 fails the halving check as a product, but the
-    scan skips it: its one parent, a sum above the output, has the larger
-    |Var| 45.  Its cone is therefore the one a nested level still scans."""
+    """x1^9 = x1^6 * x1^3 fails the halving check as a product.  Its one
+    parent is a sum above the output, whose larger |Var| 45 would cover a
+    product summand, but the output product is checked on its own: the
+    circuit fails the scan, so the reduction balances it first."""
     gates = [
         input_gate(1),
         mul_gate((0, 0, 0)),  # x^3
@@ -321,10 +316,12 @@ def test_output_cone_under_gates_above_the_output_is_scanned():
         add_gate((5, 0, 4)),
     ]
     c = build(1, gates, output=5)
-    assert passes_scan(c)
+    assert not passes_scan(c)
     assert not passes_scan(depth_reduce.extract_subcircuit(c, 5))
-    with pytest.raises(NotBalanced, match="balance scan"):
-        reduce_depth_delta(c, 5)
+    for delta in (2, 3, 5):
+        layered, _ = reduce_depth_delta(c, delta)
+        assert layered.product_depth() <= delta
+        assert layered.expand() == brute_force_expand(c)
 
 
 def test_delta_bound_ratio_uses_returned_out_size():

@@ -1,12 +1,13 @@
 """The gate expander: every gate of generated circuits against the
 proof-tree sum and plain SparsePolynomial algebra, at small, word and
 above-word primes; the packed form both return; the key layout on gates
-outside the output's cone; and cancellation."""
+outside the output's cone; cancellation; and both ways a product or sum is
+built, collision-free and merging colliding keys."""
 
 import pytest
 from hypothesis import given, settings
 
-from circflat import brute_force_expand, count_proof_trees, proof_tree_sum
+from circflat import brute_force_expand, count_proof_trees, full_multilinear, proof_tree_sum
 from circflat.circuit import ADD, CONST, INPUT, add_gate, const_gate, input_gate, mul_gate
 from circflat.expand import CircuitExpander, expand_gate
 from circflat.field import FieldSpec
@@ -115,3 +116,65 @@ def test_proof_tree_sum_cancels_to_the_oracle(p):
     trees = proof_tree_sum(c, 6)
     assert trees == brute_force_expand(c)
     assert trees.num_terms() == 1 and trees.terms == {(0, 0, 1): 1}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_colliding_product(p):
+    # (x1 + 1)(x1 + 1): x1 * 1 and 1 * x1 share a key, so the product merges
+    # its terms; at p = 2 the 2 x1 term cancels
+    gates = [input_gate(1), const_gate(1), add_gate((0, 1)), mul_gate((2, 2))]
+    c = build(1, gates, field=FieldSpec(p))
+    got = brute_force_expand(c)
+    want = {(2,): 1, (1,): 2 % p, (0,): 1}
+    assert got.terms == {e: v for e, v in want.items() if v}
+    assert got == dict_algebra(c)[3] == proof_tree_sum(c, 3)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_overlapping_sum(p):
+    # x1 + x1: both children hold the key of x1, so the sum merges them
+    c = build(1, [input_gate(1), add_gate((0, 0))], field=FieldSpec(p))
+    got = brute_force_expand(c)
+    assert got.terms == ({} if p == 2 else {(1,): 2})
+    assert got == dict_algebra(c)[1] == proof_tree_sum(c, 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_collision_free_full_multilinear(p):
+    # prod_i (1 + x_i): no product or sum has colliding keys
+    c = full_multilinear(6, FieldSpec(p))
+    got = brute_force_expand(c)
+    assert got.num_terms() == 64 and set(got.terms.values()) == {1}
+    assert got == dict_algebra(c)[c.output] == proof_tree_sum(c, c.output)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_proof_tree_sum_drops_a_zero_coefficient_tree(p):
+    # x1 * 0 + x2: the x1 tree has coefficient 0 and no other tree shares
+    # its key
+    gates = [input_gate(1), input_gate(2), const_gate(0), mul_gate((0, 2)), add_gate((3, 1))]
+    c = build(2, gates, field=FieldSpec(p))
+    trees = proof_tree_sum(c, 4)
+    assert trees.terms == {(0, 1): 1}
+    assert trees == brute_force_expand(c)
+    # an unreduced constant p, outside require_valid's residues, is 0 too
+    gates = [input_gate(2), const_gate(p), add_gate((1, 0))]
+    c = build(2, gates, field=FieldSpec(p))
+    assert proof_tree_sum(c, 2).terms == {(0, 1): 1} == brute_force_expand(c).terms
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_proof_tree_sum_of_repeated_monomials(p):
+    # (x1 + x2)(x1 + x2) + x1 x2 + 2: the trees x1 x2 and x2 x1 of the
+    # product and the x1 x2 summand share one key
+    gates = [input_gate(1), input_gate(2), const_gate(2 % p)]
+    gates.append(add_gate((0, 1)))  # 3: x1 + x2
+    gates.append(mul_gate((3, 3)))  # 4
+    gates.append(mul_gate((0, 1)))  # 5: x1 x2
+    gates.append(add_gate((4, 5, 2)))  # 6
+    c = build(2, gates, field=FieldSpec(p))
+    assert count_proof_trees(c, 6) == 6
+    trees = proof_tree_sum(c, 6)
+    want = {(2, 0): 1, (1, 1): 3 % p, (0, 2): 1, (0, 0): 2 % p}
+    assert trees.terms == {e: v for e, v in want.items() if v}
+    assert trees == brute_force_expand(c)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import circflat.verify as verify_module
 from circflat import (
     Schedule,
+    backends,
     balance,
     brute_force_expand,
     check_bounds,
@@ -227,6 +228,34 @@ def test_random_equiv_golden_witness_at_object_prime():
     assert res.values == (4078407955722324183, 1204549950391833270)
     data = res.to_json_dict()
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("p", [(1 << 61) - 1, (1 << 62) - 57, (1 << 63) + 29])
+def test_random_equiv_witness_is_the_first_differing_trial(p):
+    """B = A + (x1 - a)(x1 - b) equals A exactly where x1 is a or b, the x1
+    coordinates of trials 0 and 1: the witness is trial 2's point, on
+    uint64 words (folded, Montgomery) and on object arrays."""
+    field = FieldSpec(p)
+    a_circ = random_multilinear(30, 4, seed=1, field=field)
+    seed, trials = 7, 6
+    points = backends.random_point_batch(seed, trials, a_circ.n, p)
+    a, b = int(points[0, 0]), int(points[1, 0])
+    k = a_circ.num_gates
+    gates = list(a_circ.gates) + [
+        input_gate(1),
+        const_gate((p - a) % p),
+        const_gate((p - b) % p),
+        add_gate((k, k + 1)),  # x1 - a
+        add_gate((k, k + 2)),  # x1 - b
+        mul_gate((k + 3, k + 4)),
+        add_gate((a_circ.output, k + 5)),
+    ]
+    b_circ = Circuit(a_circ.n, gates, len(gates) - 1, field=field)
+    res = random_equiv(a_circ, b_circ, trials, seed)
+    assert res.verdict == "not_equivalent"
+    assert res.witness == [int(x) for x in points[2]]
+    assert res.values == (a_circ.evaluate(res.witness), b_circ.evaluate(res.witness))
+    assert res.values[0] != res.values[1]
 
 
 def test_random_equiv_symmetry(field):
