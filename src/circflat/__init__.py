@@ -38,7 +38,6 @@ from .depth_reduce import (
 from .errors import (
     CircflatError,
     ExpansionTooLarge,
-    FieldTooSmall,
     IncompatibleArity,
     InvalidCircuit,
     InvalidParams,

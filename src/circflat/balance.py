@@ -19,15 +19,15 @@ when it is too heavy, giving products of up to five factors
 
     [u:w] * [wL:p] * [pL] * [q] * [z:v].
 
-Keys of potential <= 1 bottom out: they depend on at most one variable, so
-the polynomial is recovered exactly by interpolation at k + 1 points and
-materialized directly.  Every base key reads the same axis grid, the origin
-plus x_i = 1..k on each axis (n*k + 1 points), which is evaluated once per
-balance call.  Each quotient target [.:v] is swept once, in plain Python,
-over only the grid rows its base keys read (the origin plus the axis rows
-of each base gate's live variable), and only the base gates' values are
-kept.  Only keys actually demanded by the output's recursion are built,
-and each key is built once.
+Keys of potential <= 1 bottom out.  A key's degree in x_i is at most its
+Var_i, so such a key is c0 + c1*x_i in its one live variable x_i: two
+values fix it, c0 = f(0) and c1 = f(e_i) - f(0), at every prime.  Every
+base key reads the same grid, the origin plus the n unit vectors, which is
+evaluated once per balance call.  Each quotient target [.:v] is swept once,
+in plain Python, over only the grid rows its base keys read (the origin
+plus the unit vector of each base gate's live variable), and only the base
+gates' values are kept.  Only keys actually demanded by the output's
+recursion are built, and each key is built once.
 
 Two threshold details matter.  The plain identity is used with
 m = max(2, ceil(t/2)): at m = 1 a proof-tree whose rightmost path ends in
@@ -43,10 +43,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .analysis import compute_var, inferred_k
+from .analysis import check_multi_k_ic, compute_var, inferred_k
 from .circuit import ADD, MUL, Builder, Circuit, Gate, require_valid
-from .errors import FieldTooSmall, InvalidCircuit
-from .field import lagrange_interpolate
+from .errors import InvalidCircuit
 from .quotient import decomposition_terms, quotient_table, quotient_values_batch
 
 NodeKey = Tuple
@@ -148,20 +147,12 @@ class _Balancer:
                     raise InvalidCircuit(
                         f"gate {g} is not right-heavy (run make_right_heavy first)"
                     )
-        self.k = max(inferred_k(circuit), 1)
-        if circuit.field.p <= self.k:
-            raise FieldTooSmall(
-                f"interpolation needs {self.k + 1} distinct points, p = {circuit.field.p}"
-            )
         self.out = Builder(circuit.n, circuit.field)
         self.memo: Dict[NodeKey, int] = {}
         self.base_case_count = 0
-        # The axis grid every base key reads: the origin, then x_i = 1..k
-        # on each axis i in turn (row 1 + i*k + x - 1).
-        n, k = circuit.n, self.k
-        self._grid = np.zeros((n * k + 1, n), dtype=np.uint64)
-        for i in range(n):
-            self._grid[1 + i * k : 1 + (i + 1) * k, i] = np.arange(1, k + 1)
+        # The grid every base key reads: the origin, then the unit vector
+        # x_i = 1 of each axis i (row 1 + i).
+        self._grid = np.eye(circuit.n + 1, circuit.n, k=-1, dtype=np.uint64)
         self._plain = None  # plain gate values, one list per grid row
         # per quotient target: base gate u -> [u:target] at the rows u reads
         self._sweeps: Dict[int, Dict[int, list]] = {}
@@ -185,11 +176,9 @@ class _Balancer:
 
     def _rows(self, vec: int) -> list:
         """Grid rows a base key of packed potential vector vec reads: the
-        origin, plus the k axis rows of its live variable if it has one."""
+        origin, plus the unit vector of its live variable if it has one."""
         i = self._live(vec)
-        if i is None:
-            return [0]
-        return [0] + list(range(1 + i * self.k, 1 + (i + 1) * self.k))
+        return [0] if i is None else [0, 1 + i]
 
     def _plain_rows(self) -> list:
         """Every gate's value at every grid row, from one evaluation."""
@@ -208,6 +197,8 @@ class _Balancer:
             rows_of = {u: self._rows(qt.packed[u]) for u in reached if qt.totals[u] <= 1}
             rows = sorted(set().union(*rows_of.values()))
             plain = self._plain_rows()
+            # kept as a call, not inlined: the benchmark's span list times
+            # quotient_values_batch by name
             sweeps = quotient_values_batch(self.c, target, [plain[r] for r in rows])
             q = dict(zip(rows, sweeps))
             self._sweeps[target] = {
@@ -216,6 +207,8 @@ class _Balancer:
         return self._sweeps[target]
 
     def base_node(self, key: NodeKey) -> int:
+        # One method per base key, although node() could inline it: the
+        # benchmark's span list times _Balancer.base_node by name.
         vec = self._table(key).packed[key[1]]
         self.base_case_count += 1
         if key[0] == "plain":
@@ -226,19 +219,13 @@ class _Balancer:
         i = self._live(vec)
         if i is None:
             return self.out.const(ys[0])
-        coeffs = lagrange_interpolate(list(range(self.k + 1)), ys, self.c.field)
-        terms = []
-        for j, cj in enumerate(coeffs):
-            if cj == 0:
-                continue
-            if j == 0:
-                terms.append(self.out.const(cj))
-            else:
-                pw = self.out.power(i + 1, j)
-                if cj == 1:
-                    terms.append(pw)
-                else:
-                    terms.append(self.out.emit(Gate(MUL, children=(self.out.const(cj), pw))))
+        c0, c1 = ys[0], (ys[1] - ys[0]) % self.c.field.p
+        terms = [self.out.const(c0)] if c0 else []
+        if c1:
+            x = self.out.input(i + 1)
+            if c1 != 1:
+                x = self.out.emit(Gate(MUL, children=(self.out.const(c1), x)))
+            terms.append(x)
         if not terms:
             return self.out.const(0)
         return self.out.summation(terms)
@@ -335,8 +322,7 @@ def balance(circuit: Circuit) -> Tuple[Circuit, BalanceReport]:
     builder = _Balancer(circuit)
     out = builder.build()
     scan = check_balanced(out)
-    k_in = inferred_k(circuit)
-    ok, _ = _multi_k_verdict(out, k_in)
+    ok, _ = check_multi_k_ic(out, max(inferred_k(circuit), 1))
     return out, BalanceReport(
         input_size=circuit.size(),
         output_size=scan.size,
@@ -346,9 +332,3 @@ def balance(circuit: Circuit) -> Tuple[Circuit, BalanceReport]:
         k_preserved=ok,
         base_case_count=builder.base_case_count,
     )
-
-
-def _multi_k_verdict(circuit: Circuit, k: int):
-    from .analysis import check_multi_k_ic
-
-    return check_multi_k_ic(circuit, max(k, 1))

@@ -45,7 +45,3 @@ class TooManyProofTrees(CircflatError):
 
 class IncompatibleArity(CircflatError):
     """Raised when two circuits cannot be compared (different n or modulus)."""
-
-
-class FieldTooSmall(CircflatError):
-    """Raised when the prime field has too few points for interpolation."""

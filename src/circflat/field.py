@@ -85,10 +85,12 @@ class FieldSpec:
 
 def lagrange_interpolate(xs, ys, field: FieldSpec):
     """Coefficients (low degree first) of the unique poly of degree < len(xs)
-    through the points (xs[i], ys[i]) over F_p.
+    through the points (xs[i], ys[i]) over F_p, by the quadratic-time
+    textbook method.
 
-    The number of points is tiny here (k + 1 for multi-k-ic circuits), so the
-    quadratic-time textbook method is plenty.
+    The pipeline no longer calls it: balance reads each base key, which is
+    affine in one variable, at two points.  It stays because the benchmark's
+    span list (``perfbench/spans.py``) wraps it by name.
     """
     p = field.p
     npts = len(xs)

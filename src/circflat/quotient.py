@@ -55,7 +55,7 @@ import numpy as np
 from . import backends
 from .analysis import VarVector, compute_var
 from .circuit import ADD, MUL, Circuit, require_gate, require_valid
-from .errors import InvalidCircuit, PreconditionViolated
+from .errors import InvalidCircuit, InvalidParams, PreconditionViolated
 
 
 class QuotientTable:
@@ -311,8 +311,11 @@ def check_decomposition(
     Without v this checks the plain identity for [u]; with v, the
     with-respect-to-v identity for [u:v].  Points are drawn from
     counter-based streams keyed (seed, trial), so verdicts are reproducible.
-    The identities are exact, so any disagreement is a hard failure.
+    The identities are exact, so any disagreement is a hard failure; a
+    verdict needs at least one trial (InvalidParams otherwise).
     """
+    if trials < 1:
+        raise InvalidParams(f"trials must be >= 1 for a verdict, got {trials}")
     require_valid(circuit)
     require_gate(circuit, u)
     if v is not None:

@@ -4,7 +4,7 @@ import hashlib
 import importlib
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circflat import (
@@ -19,11 +19,14 @@ from circflat import (
     random_equiv,
 )
 from circflat.analysis import inferred_k
-from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
-from circflat.errors import FieldTooSmall, InvalidCircuit
+from circflat.circuit import Circuit, add_gate, const_gate, input_gate, mul_gate
+from circflat.errors import InvalidCircuit, TooManyProofTrees
+from circflat.expand import CircuitExpander
 from circflat.field import FieldSpec
 from circflat.generators import random_multi_k_ic, random_multilinear
 from circflat.normalize import normalized
+from circflat.quotient import quotient_table
+from circflat.verify import proof_tree_sum
 
 from conftest import at_prime, build
 from test_var import circuits
@@ -145,7 +148,6 @@ def test_pipeline_over_tiny_fields():
     assert brute_force_expand(out) == brute_force_expand(c)
     lay, _ = reduce_depth_delta(c, 2)
     assert lay.expand() == brute_force_expand(c)
-    # F3 has exactly the k + 1 = 3 interpolation points a k = 2 circuit needs
     f3 = FieldSpec(3)
     cc = random_multi_k_ic(40, 2, 6, seed=1, field=f3)
     out3, rep3 = balance(normalized(cc))
@@ -153,11 +155,16 @@ def test_pipeline_over_tiny_fields():
     assert brute_force_expand(out3) == brute_force_expand(cc)
 
 
-def test_balance_field_too_small():
-    f = FieldSpec(2)
-    c = normalized(build(1, [input_gate(1), mul_gate((0, 0))], field=f))
-    with pytest.raises(FieldTooSmall):
-        balance(c)
+def test_balance_exact_when_p_at_most_k():
+    """Base keys are affine in one variable, so two points fix them at
+    every prime, also where p <= k leaves fewer than k + 1 field points."""
+    sq = normalized(build(1, [input_gate(1), mul_gate((0, 0))], field=FieldSpec(2)))
+    out, _ = balance(sq)
+    assert brute_force_expand(out) == brute_force_expand(sq)
+    c = random_multi_k_ic(40, 3, 6, seed=0, field=FieldSpec(3))
+    out, rep = balance(normalized(c))
+    assert brute_force_expand(out) == brute_force_expand(c)
+    assert rep.halving_ok and check_balanced(out).max_mul_fanin <= 5
 
 
 def test_balance_constant_subcircuits_fold(field):
@@ -280,6 +287,38 @@ def test_balance_potential_halving_structure(field):
 # -- base-case evaluation ---------------------------------------------------
 
 
+def _affine_in(poly, vec):
+    """poly is at most a constant plus c * x_i, x_i the one variable with
+    vec[i] = 1 (vec has |Var| <= 1)."""
+    return all(sum(exps) <= 1 and all(e <= v for e, v in zip(exps, vec)) for exps in poly.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(), st.sampled_from((2, 3, 997, M61)))
+@example(build(1, [input_gate(1), mul_gate((0, 0)), add_gate((1, 0))]), 2)
+def test_base_keys_are_affine_property(c, p):
+    """Balance reads each key of potential <= 1 at two points; that is
+    exact because such a key, plain [u] or quotient [u:v], is a constant
+    plus one x_i^1 term.  The circuits include squares (a product may read
+    the same child twice)."""
+    c = at_prime(c, p)
+    var = compute_var(c)
+    expander = CircuitExpander(c, 1 << 16)
+    for u in range(c.num_gates):
+        if var.total(u) <= 1:
+            assert _affine_in(expander.expand(u), var.vector(u))
+    for v in range(c.num_gates):
+        qt = quotient_table(c, v)
+        for u in range(v, c.num_gates):
+            if not qt.reachable[u] or qt.total(u) > 1:
+                continue
+            try:
+                poly = proof_tree_sum(c, u, snip=v)
+            except TooManyProofTrees:
+                continue
+            assert _affine_in(poly, qt.vector(u))
+
+
 def test_balance_evaluates_once_and_sweeps_each_target_once(monkeypatch):
     c = normalized(random_multilinear(200, 16, seed=0))
     evals = []
@@ -298,13 +337,29 @@ def test_balance_evaluates_once_and_sweeps_each_target_once(monkeypatch):
     monkeypatch.setattr(backends, "eval_program", spy_eval)
     monkeypatch.setattr(balance_module, "quotient_values_batch", spy_quotient)
     balance(c)
-    # one sweep over the whole axis grid: the origin plus x_i = 1..k per axis
-    assert evals == [(c.n * max(inferred_k(c), 1) + 1, c.n)]
+    # one sweep over the grid: the origin plus the n unit vectors
+    assert evals == [(c.n + 1, c.n)]
     assert targets and len(targets) == len(set(targets))
 
 
-# balanced-text sha256 at each kernel regime; k = 3 gives the axis grid
-# several rows per axis
+@pytest.mark.parametrize("k", [2, 3])
+def test_balance_reads_n_plus_one_points_at_every_k(monkeypatch, k):
+    c = normalized(random_multi_k_ic(60, k, 8, seed=3))
+    assert inferred_k(c) == k
+    shapes = []
+    eval_table = Circuit.eval_table
+
+    def spy(self, points):
+        shapes.append(points.shape)
+        return eval_table(self, points)
+
+    monkeypatch.setattr(Circuit, "eval_table", spy)
+    out, _ = balance(c)
+    assert shapes == [(c.n + 1, c.n)]
+    assert brute_force_expand(out) == brute_force_expand(c)
+
+
+# balanced-text sha256 at each kernel regime, for k = 1 and k = 3
 GOLDEN = [
     (
         lambda: random_multilinear(60, 8, seed=3, field=FieldSpec(M61)),
@@ -348,11 +403,11 @@ def test_balance_matches_oracle_property(c, p):
     c = at_prime(c, p)
     assume(expansion_bound(c, c.output) <= 1 << 16)
     norm = normalized(c)
-    if p <= max(inferred_k(norm), 1):
-        with pytest.raises(FieldTooSmall):
-            balance(norm)
-        return
     out, _ = balance(norm)
     assert brute_force_expand(out) == brute_force_expand(c)
+    if p <= max(inferred_k(norm), 1):
+        # no halving check: a base key whose x_i coefficient is 0 mod p
+        # folds to a constant, and small primes make that likely
+        return
     scan = check_balanced(out)
     assert scan.halving_ok and scan.max_mul_fanin <= 5

@@ -175,6 +175,16 @@ def test_prime_flag(tmp_path):
     assert "const 2" in out.read_text()
 
 
+def test_balance_square_over_f2(tmp_path, capsys):
+    src = tmp_path / "sq.ckt"
+    src.write_text("circuit sq\nnvars 1\ngate 0 = input x1\ngate 1 = mul 0 0\noutput 1\n")
+    out = tmp_path / "o.ckt"
+    assert run(["--prime", "2", "balance", src, "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["--prime", "2", "verify", src, out]) == 0
+    assert "equivalent (exact)" in capsys.readouterr().out
+
+
 def test_bench(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

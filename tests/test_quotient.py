@@ -18,7 +18,7 @@ from circflat import (
 )
 from circflat.backends import random_point_batch
 from circflat.circuit import add_gate, input_gate, mul_gate
-from circflat.errors import PreconditionViolated
+from circflat.errors import InvalidParams, PreconditionViolated
 from circflat.field import FieldSpec
 from circflat.generators import random_multilinear
 from circflat.normalize import normalized
@@ -214,6 +214,15 @@ def test_decomposition_precondition_violated():
         check_decomposition(c, 0, None, 2)  # |Var(x1)| = 1 < 2
     with pytest.raises(PreconditionViolated):
         check_decomposition(c, c.output, 4, 2)  # |Var(a2)| = 2 >= m
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("v", [None, 35])
+def test_decomposition_needs_a_trial(trials, v):
+    c = normalized(random_multilinear(40, 6, seed=0))
+    assert v is None or quotient_table(c, v).reachable[c.output]
+    with pytest.raises(InvalidParams):
+        check_decomposition(c, c.output, v, 2, trials=trials)
 
 
 def test_decomposition_unreachable_v_is_vacuous():
