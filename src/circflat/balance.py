@@ -21,13 +21,19 @@ when it is too heavy, giving products of up to five factors
 
 Keys of potential <= 1 bottom out.  A key's degree in x_i is at most its
 Var_i, so such a key is c0 + c1*x_i in its one live variable x_i: two
-values fix it, c0 = f(0) and c1 = f(e_i) - f(0), at every prime.  Every
-base key reads the same grid, the origin plus the n unit vectors, which is
-evaluated once per balance call.  Each quotient target [.:v] is swept once,
-in plain Python, over only the grid rows its base keys read (the origin
-plus the unit vector of each base gate's live variable), and only the base
-gates' values are kept.  Only keys actually demanded by the output's
-recursion are built, and each key is built once.
+values fix it, c0 = f(0) and c1 = f(e_i) - f(0), at every prime.  One
+plain-Python pass stores, for every gate of potential <= 1, its pair
+(f(0), f(e_i)) at its own live variable; this is exact because a light
+gate reads only light gates (a sum's children have Var at most its own,
+fieldwise, and a product's children add up to it).
+Each quotient target [.:v] is swept once over those two columns, and a
+quotient of potential <= 1 likewise reads only light quotients and light
+left factors.  Heavier gates hold a placeholder 0, so their plain and
+quotient values in the columns are meaningless, but no base key reads
+them.  A base key keeps its variable even when c1 is 0 mod p, so the
+output's syntactic Var, which halving is judged on, never drops below the
+key's.  Only keys actually demanded by the output's recursion are built,
+and each key is built once.
 
 Two threshold details matter.  The plain identity is used with
 m = max(2, ceil(t/2)): at m = 1 a proof-tree whose rightmost path ends in
@@ -38,13 +44,10 @@ sits at quotient potential 0) and uses m = ceil(t/2) as is.
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .analysis import check_multi_k_ic, compute_var, inferred_k
-from .circuit import ADD, MUL, Builder, Circuit, Gate, require_valid
+from .circuit import ADD, CONST, INPUT, MUL, Builder, Circuit, Gate, require_valid
 from .errors import InvalidCircuit
 from .quotient import decomposition_terms, quotient_table, quotient_values_batch
 
@@ -133,6 +136,36 @@ def check_balanced(circuit: Circuit) -> BalanceScan:
     )
 
 
+def light_values(circuit: Circuit) -> list:
+    """The two columns base keys read: for every gate of potential <= 1,
+    f(0) in the first and f(e_i) in the second, x_i being the gate's live
+    variable (a constant gate holds its value in both).  Heavier gates hold
+    the placeholder 0.  One plain-Python pass, exact at every prime: a
+    light gate reads only light gates, whose live variable is its own or
+    none."""
+    p = circuit.field.p
+    totals = compute_var(circuit).totals
+    at0 = [0] * circuit.num_gates
+    at1 = [0] * circuit.num_gates
+    for g, gate in enumerate(circuit.gates):
+        if totals[g] > 1:
+            continue
+        if gate.kind == INPUT:
+            at1[g] = 1
+        elif gate.kind == CONST:
+            at0[g] = at1[g] = gate.value
+        elif gate.kind == ADD:
+            at0[g] = sum(at0[c] for c in gate.children) % p
+            at1[g] = sum(at1[c] for c in gate.children) % p
+        else:
+            a = b = 1
+            for c in gate.children:
+                a = a * at0[c] % p
+                b = b * at1[c] % p
+            at0[g], at1[g] = a, b
+    return [at0, at1]
+
+
 class _Balancer:
     def __init__(self, circuit: Circuit):
         require_valid(circuit)
@@ -150,12 +183,9 @@ class _Balancer:
         self.out = Builder(circuit.n, circuit.field)
         self.memo: Dict[NodeKey, int] = {}
         self.base_case_count = 0
-        # The grid every base key reads: the origin, then the unit vector
-        # x_i = 1 of each axis i (row 1 + i).
-        self._grid = np.eye(circuit.n + 1, circuit.n, k=-1, dtype=np.uint64)
-        self._plain = None  # plain gate values, one list per grid row
-        # per quotient target: base gate u -> [u:target] at the rows u reads
-        self._sweeps: Dict[int, Dict[int, list]] = {}
+        self._light = light_values(circuit)
+        # per quotient target: its sweep over the two light columns
+        self._sweeps: Dict[int, list] = {}
 
     # -- potentials ------------------------------------------------------
 
@@ -167,67 +197,38 @@ class _Balancer:
     def potential(self, key: NodeKey) -> int:
         return self._table(key).totals[key[1]]
 
-    # -- base-case evaluation ---------------------------------------------
+    # -- base cases -------------------------------------------------------
 
-    def _live(self, vec: int):
-        """0-based live variable of a packed vector of potential <= 1 (its
-        one nonzero field holds 1), or None for the zero vector."""
-        return (vec.bit_length() - 1) // self.var.bits if vec else None
-
-    def _rows(self, vec: int) -> list:
-        """Grid rows a base key of packed potential vector vec reads: the
-        origin, plus the unit vector of its live variable if it has one."""
-        i = self._live(vec)
-        return [0] if i is None else [0, 1 + i]
-
-    def _plain_rows(self) -> list:
-        """Every gate's value at every grid row, from one evaluation."""
-        if self._plain is None:
-            self._plain = self.c.eval_table(self._grid).T.tolist()
-        return self._plain
-
-    def _sweep(self, target: int) -> Dict[int, list]:
-        """[u:target] for every base gate u (quotient potential <= 1) at the
-        rows u reads.  The quotient recursion runs once, over the union of
-        those rows; only the base gates' values are kept, since whole
-        sweeps, one per target, would grow quadratically with the circuit."""
-        if target not in self._sweeps:
-            qt = quotient_table(self.c, target)
-            reached = compress(range(self.c.num_gates), qt.reachable)
-            rows_of = {u: self._rows(qt.packed[u]) for u in reached if qt.totals[u] <= 1}
-            rows = sorted(set().union(*rows_of.values()))
-            plain = self._plain_rows()
+    def _sweep(self, target: int) -> list:
+        """[u:target] for every gate u over the two light columns, exact
+        wherever u's quotient potential is <= 1."""
+        sweep = self._sweeps.get(target)
+        if sweep is None:
             # kept as a call, not inlined: the benchmark's span list times
             # quotient_values_batch by name
-            sweeps = quotient_values_batch(self.c, target, [plain[r] for r in rows])
-            q = dict(zip(rows, sweeps))
-            self._sweeps[target] = {
-                u: [q[r][u] for r in u_rows] for u, u_rows in rows_of.items()
-            }
-        return self._sweeps[target]
+            sweep = self._sweeps[target] = quotient_values_batch(
+                self.c, target, self._light
+            )
+        return sweep
 
     def base_node(self, key: NodeKey) -> int:
         # One method per base key, although node() could inline it: the
         # benchmark's span list times _Balancer.base_node by name.
-        vec = self._table(key).packed[key[1]]
+        u = key[1]
+        vec = self._table(key).packed[u]
         self.base_case_count += 1
-        if key[0] == "plain":
-            plain = self._plain_rows()
-            ys = [plain[r][key[1]] for r in self._rows(vec)]
-        else:
-            ys = self._sweep(key[2])[key[1]]
-        i = self._live(vec)
-        if i is None:
-            return self.out.const(ys[0])
-        c0, c1 = ys[0], (ys[1] - ys[0]) % self.c.field.p
+        at0, at1 = self._light if key[0] == "plain" else self._sweep(key[2])
+        c0 = at0[u]
+        if not vec:
+            return self.out.const(c0)
+        # x_i stays even when c1 is 0 mod p: it carries the key's potential
+        # into the output's Var, which check_balanced judges halving on
+        c1 = (at1[u] - c0) % self.c.field.p
         terms = [self.out.const(c0)] if c0 else []
-        if c1:
-            x = self.out.input(i + 1)
-            if c1 != 1:
-                x = self.out.emit(Gate(MUL, children=(self.out.const(c1), x)))
-            terms.append(x)
-        if not terms:
-            return self.out.const(0)
+        x = self.out.input((vec.bit_length() - 1) // self.var.bits + 1)
+        if c1 != 1:
+            x = self.out.emit(Gate(MUL, children=(self.out.const(c1), x)))
+        terms.append(x)
         return self.out.summation(terms)
 
     # -- decomposition ------------------------------------------------------

@@ -46,6 +46,7 @@ by the callers in this package:
   |Var(u:v)| and falls to 0 at the snipped leaf.
 """
 
+import re
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from typing import List, Optional, Tuple
@@ -110,6 +111,25 @@ class QuotientTable:
 
     def total(self, g: int) -> Optional[int]:
         return self.totals[g]
+
+
+def rightmost_reach(circuit: Circuit) -> List[int]:
+    """Per gate u, the gates w quotient-reachable from u ([u:w] not
+    identically zero) as an int bitset: u itself, every child's set for a
+    sum, the last child's set for a product.  One sweep, cached."""
+    reach = circuit.__dict__.get("_rightmost_reach")
+    if reach is None:
+        reach = []
+        for g, gate in enumerate(circuit.gates):
+            bits = 1 << g
+            if gate.kind == ADD:
+                for c in gate.children:
+                    bits |= reach[c]
+            elif gate.kind == MUL:
+                bits |= reach[gate.children[-1]]
+            reach.append(bits)
+        circuit.__dict__["_rightmost_reach"] = reach
+    return reach
 
 
 def quotient_table(circuit: Circuit, v: int) -> QuotientTable:
@@ -247,11 +267,11 @@ def decomposition_terms(
     require_gate(circuit, u)
     totals = _potentials(circuit, target)
     terms = []
-    # any w on a rightmost path under u has a smaller-or-equal topological id
-    for w in range(u + 1):
+    # the gates on rightmost paths under u, lowest id first
+    reach = bin(rightmost_reach(circuit)[u])[:1:-1]
+    for match in re.finditer("1", reach):
+        w = match.start()
         if totals[w] is None or totals[w] < m:
-            continue
-        if w != u and not quotient_table(circuit, w).reachable[u]:
             continue
         gate = circuit.gates[w]
         if gate.kind == MUL:

@@ -18,9 +18,8 @@ from circflat import (
     random_multilinear,
     reduce_depth_delta,
 )
-from circflat.analysis import inferred_k
 from circflat.circuit import add_gate, const_gate, input_gate, mul_gate
-from circflat.errors import ExpansionTooLarge, InvalidParams, NotBalanced
+from circflat.errors import ExpansionTooLarge, InvalidParams
 from circflat.field import MERSENNE61, FieldSpec
 from circflat.sparse import SparsePolynomial
 
@@ -236,13 +235,7 @@ def test_batch_evaluators_match_per_point_property(c, p, seed):
     zero = SparsePolynomial.zero(c.n, c.field)
     products = [Summand(1, 3, (0, 1)), Summand(1, 1, (1,)), Summand(1, 2, (0,))]
     check(LayeredCircuit(c.n, c.field, 2, [zero, poly], products).evaluate_batch(points))
-    try:
-        layered, _ = reduce_depth_delta(c, 2)
-    except NotBalanced:
-        # at p <= k a base key can fold to a constant and break halving
-        if p > max(inferred_k(c), 1):
-            raise
-        return
+    layered, _ = reduce_depth_delta(c, 2)
     check(layered.evaluate_batch(points))
 
 

@@ -20,12 +20,13 @@ from circflat import (
 )
 from circflat.analysis import inferred_k
 from circflat.circuit import Circuit, add_gate, const_gate, input_gate, mul_gate
+from circflat.depth_reduce import reduce_depth_delta
 from circflat.errors import InvalidCircuit, TooManyProofTrees
 from circflat.expand import CircuitExpander
 from circflat.field import FieldSpec
 from circflat.generators import random_multi_k_ic, random_multilinear
 from circflat.normalize import normalized
-from circflat.quotient import quotient_table
+from circflat.quotient import QuotientTable, quotient_table
 from circflat.verify import proof_tree_sum
 
 from conftest import at_prime, build
@@ -34,6 +35,7 @@ from test_var import circuits
 M61 = (1 << 61) - 1
 M31 = (1 << 31) - 1
 P62 = (1 << 62) - 57
+P63_UP = (1 << 63) + 29
 
 # the package rebinds the name circflat.balance to the function
 balance_module = importlib.import_module("circflat.balance")
@@ -319,43 +321,88 @@ def test_base_keys_are_affine_property(c, p):
             assert _affine_in(poly, qt.vector(u))
 
 
-def test_balance_evaluates_once_and_sweeps_each_target_once(monkeypatch):
-    c = normalized(random_multilinear(200, 16, seed=0))
-    evals = []
-    targets = []
+def spy_batched_evaluation(monkeypatch):
+    """Record the points shape of every batched evaluation."""
+    shapes = []
     eval_program = backends.eval_program
-    quotient_values_batch = balance_module.quotient_values_batch
+    eval_table = Circuit.eval_table
 
-    def spy_eval(kinds, payload, child_off, children, points, p):
-        evals.append(points.shape)
-        return eval_program(kinds, payload, child_off, children, points, p)
+    def spy_program(kinds, payload, child_off, children, points, p, **kw):
+        shapes.append(points.shape)
+        return eval_program(kinds, payload, child_off, children, points, p, **kw)
+
+    def spy_table(self, points):
+        shapes.append(points.shape)
+        return eval_table(self, points)
+
+    monkeypatch.setattr(backends, "eval_program", spy_program)
+    monkeypatch.setattr(Circuit, "eval_table", spy_table)
+    return shapes
+
+
+def test_balance_makes_no_batched_evaluation_and_sweeps_each_target_once(monkeypatch):
+    c = normalized(random_multilinear(200, 16, seed=0))
+    evals = spy_batched_evaluation(monkeypatch)
+    targets = []
+    quotient_values_batch = balance_module.quotient_values_batch
 
     def spy_quotient(circuit, target, columns):
         targets.append(target)
         return quotient_values_batch(circuit, target, columns)
 
-    monkeypatch.setattr(backends, "eval_program", spy_eval)
     monkeypatch.setattr(balance_module, "quotient_values_batch", spy_quotient)
-    balance(c)
-    # one sweep over the grid: the origin plus the n unit vectors
-    assert evals == [(c.n + 1, c.n)]
+    out, _ = balance(c)
+    assert evals == []
     assert targets and len(targets) == len(set(targets))
+    assert brute_force_expand(out) == brute_force_expand(c)
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_balance_reads_n_plus_one_points_at_every_k(monkeypatch, k):
+def test_balance_makes_no_batched_evaluation_at_every_k(monkeypatch, k):
     c = normalized(random_multi_k_ic(60, k, 8, seed=3))
     assert inferred_k(c) == k
-    shapes = []
-    eval_table = Circuit.eval_table
-
-    def spy(self, points):
-        shapes.append(points.shape)
-        return eval_table(self, points)
-
-    monkeypatch.setattr(Circuit, "eval_table", spy)
+    evals = spy_batched_evaluation(monkeypatch)
     out, _ = balance(c)
-    assert shapes == [(c.n + 1, c.n)]
+    assert evals == []
+    assert brute_force_expand(out) == brute_force_expand(c)
+
+
+def test_balance_builds_tables_only_for_its_targets(monkeypatch):
+    """Reachability comes from bitsets, so the only quotient tables built
+    are those of the targets balance keys on, each once."""
+    c = normalized(random_multilinear(200, 16, seed=0))
+    built = []
+    init = QuotientTable.__init__
+
+    def spy(self, circuit, v):
+        built.append(v)
+        init(self, circuit, v)
+
+    monkeypatch.setattr(QuotientTable, "__init__", spy)
+    builder = balance_module._Balancer(c)
+    builder.build()
+    keyed = {key[2] for key in builder.memo if key[0] == "quot"}
+    assert built and sorted(built) == sorted(keyed)
+
+
+@pytest.mark.parametrize("seed, p", [(15, 2), (263, 3)])
+def test_zero_coefficient_keys_keep_their_variable(seed, p):
+    """A base key whose x_i coefficient is 0 mod p keeps x_i, so the
+    output's Var does not collapse and the halving scan passes."""
+    c = random_multi_k_ic(40, 2, 6, seed=seed, field=FieldSpec(p))
+    out, rep = balance(normalized(c))
+    assert rep.halving_ok
+    assert brute_force_expand(out) == brute_force_expand(c)
+    for delta in (2, 3):
+        layered, _ = reduce_depth_delta(c, delta)
+        assert layered.expand() == brute_force_expand(c)
+
+
+def test_balance_above_the_word_limit():
+    """2^63 + 29 has no word kernel; balance reads no kernel either."""
+    c = random_multi_k_ic(50, 3, 6, seed=5, field=FieldSpec(P63_UP))
+    out, rep = balance(normalized(c))
+    assert rep.halving_ok and rep.k_preserved
     assert brute_force_expand(out) == brute_force_expand(c)
 
 
@@ -394,7 +441,7 @@ def test_balance_golden_outputs(make, sha):
     assert hashlib.sha256(out.serialize().encode()).hexdigest() == sha
 
 
-PROPERTY_PRIMES = (2, 3, 5, 7, 10007, M61, P62)
+PROPERTY_PRIMES = (2, 3, 5, 7, 10007, M61, P62, P63_UP)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,9 +452,5 @@ def test_balance_matches_oracle_property(c, p):
     norm = normalized(c)
     out, _ = balance(norm)
     assert brute_force_expand(out) == brute_force_expand(c)
-    if p <= max(inferred_k(norm), 1):
-        # no halving check: a base key whose x_i coefficient is 0 mod p
-        # folds to a constant, and small primes make that likely
-        return
     scan = check_balanced(out)
     assert scan.halving_ok and scan.max_mul_fanin <= 5

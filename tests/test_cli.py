@@ -6,7 +6,8 @@ import pytest
 
 from circflat.circuit import load
 from circflat.cli import main
-from circflat.generators import random_multilinear
+from circflat.field import FieldSpec
+from circflat.generators import random_multi_k_ic, random_multilinear
 
 from conftest import pos22
 
@@ -182,6 +183,19 @@ def test_balance_square_over_f2(tmp_path, capsys):
     assert run(["--prime", "2", "balance", src, "-o", out]) == 0
     capsys.readouterr()
     assert run(["--prime", "2", "verify", src, out]) == 0
+    assert "equivalent (exact)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed, p", [(15, 2), (263, 3)])
+def test_reduce_with_zero_coefficient_keys(tmp_path, capsys, seed, p):
+    """Some base keys of these circuits have an x_i coefficient of 0 mod p;
+    they keep x_i, so the balanced input passes the halving scan."""
+    src = tmp_path / "c.ckt"
+    src.write_text(random_multi_k_ic(40, 2, 6, seed=seed, field=FieldSpec(p)).serialize())
+    out = tmp_path / "o.ckt"
+    assert run(["--prime", p, "reduce", src, "-o", out, "--delta", "2"]) == 0
+    capsys.readouterr()
+    assert run(["--prime", p, "verify", src, out]) == 0
     assert "equivalent (exact)" in capsys.readouterr().out
 
 

@@ -1,6 +1,7 @@
 """The Var analysis: the defining recurrences, soundness against the exact
-oracle, agreement with exhaustive proof-tree enumeration, and the packed
-Var and quotient tables against a plain tuple sweep."""
+oracle, agreement with exhaustive proof-tree enumeration, the packed Var
+and quotient tables against a plain tuple sweep, and the values balance
+reads at gates and quotients of potential <= 1."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,16 @@ from circflat.circuit import (
     input_gate,
     mul_gate,
 )
+from circflat.balance import light_values
 from circflat.field import FieldSpec
+from circflat.quotient import (
+    eval_quotient,
+    quotient_table,
+    quotient_values_batch,
+    rightmost_reach,
+)
 
-from conftest import build
+from conftest import at_prime, build
 
 
 # -- reference: the Var recurrences on tuples ---------------------------------
@@ -88,12 +96,14 @@ def assert_tables_match_reference(c):
     assert var.totals == [sum(vec) for vec in ref]
     assert [var.total(g) for g in range(c.num_gates)] == var.totals
     assert var.max_coord == max((max(vec, default=0) for vec in ref), default=0)
+    reach = rightmost_reach(c)
     for v in range(c.num_gates):
         qref = reference_quotient(c, v)
         qt = QuotientTable(c, v)
         assert [qt.vector(g) for g in range(c.num_gates)] == qref
         assert qt.totals == [None if vec is None else sum(vec) for vec in qref]
         assert qt.reachable == [vec is not None for vec in qref]
+        assert [bool(bits >> v & 1) for bits in reach] == qt.reachable
 
 
 def test_var_add_of_product():
@@ -207,6 +217,55 @@ def test_packed_tables_match_reference_property(c):
     """Packed Var and quotient tables equal the tuple sweep at every gate
     and every target; repeated products push coordinates across bytes."""
     assert_tables_match_reference(c)
+
+
+LIGHT_PRIMES = (
+    2,
+    3,
+    5,
+    7,
+    10007,
+    (1 << 31) - 1,
+    (1 << 61) - 1,
+    (1 << 62) - 57,
+    (1 << 63) - 25,
+    (1 << 63) + 29,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits(max_internal=16, max_fanin=4), st.sampled_from(LIGHT_PRIMES))
+def test_light_pairs_match_point_evaluation_property(c, p):
+    """The pairs balance reads, (f(0), f(e_i)) at every gate of potential
+    <= 1 and at every quotient of quotient potential <= 1, x_i the live
+    variable, equal evaluation at those two points, at primes on both
+    sides of every kernel regime."""
+    c = at_prime(c, p)
+    var = compute_var(c)
+    columns = light_values(c)
+    origin = [0] * c.n
+
+    def live_point(vec):
+        point = [0] * c.n
+        if vec:
+            point[(vec.bit_length() - 1) // var.bits] = 1
+        return point
+
+    at_origin = c.gate_values(origin)
+    for u in range(c.num_gates):
+        if var.total(u) <= 1:
+            at_live = c.gate_values(live_point(var.packed[u]))[u]
+            assert [col[u] for col in columns] == [at_origin[u], at_live]
+    for v in range(c.num_gates):
+        qt = quotient_table(c, v)
+        sweep = quotient_values_batch(c, v, columns)
+        for u in range(v, c.num_gates):
+            if qt.reachable[u] and qt.total(u) <= 1:
+                expected = [
+                    eval_quotient(c, u, v, origin),
+                    eval_quotient(c, u, v, live_point(qt.packed[u])),
+                ]
+                assert [q[u] for q in sweep] == expected
 
 
 def squarings(n, var, top):
